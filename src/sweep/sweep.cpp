@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,13 +31,30 @@ SweepMetrics& sweep_metrics() {
   return m;
 }
 
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+}
+
+/// The process-wide engine with `threads` workers, started on first use.
+/// The table is never destroyed: its workers stay parked until the process
+/// exits, so no exit-time join can race the teardown of the statics that
+/// worker threads touch.
+SweepEngine& process_engine(std::size_t threads) {
+  struct Table {
+    std::mutex mutex;
+    std::map<std::size_t, std::unique_ptr<SweepEngine>> engines;
+  };
+  static Table& table = *new Table;
+  std::lock_guard lock(table.mutex);
+  std::unique_ptr<SweepEngine>& engine = table.engines[threads];
+  if (!engine) engine = std::make_unique<SweepEngine>(SweepOptions{.threads = threads});
+  return *engine;
+}
+
 }  // namespace
 
 SweepEngine::SweepEngine(SweepOptions options) {
-  std::size_t threads = options.threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
+  const std::size_t threads = options.threads != 0 ? options.threads : hardware_threads();
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
@@ -93,10 +112,7 @@ void SweepEngine::run(std::size_t count,
   pool_->wait_idle();
 }
 
-SweepEngine& shared_engine() {
-  static SweepEngine engine{SweepOptions{}};
-  return engine;
-}
+SweepEngine& shared_engine() { return process_engine(hardware_threads()); }
 
 void parallel_for(std::size_t count, const SweepOptions& options,
                   const std::function<void(std::size_t)>& body) {
@@ -117,8 +133,7 @@ void parallel_for(std::size_t count, const SweepOptions& options,
     for (std::size_t i = 0; i < count; ++i) body(i, 0);
     return;
   }
-  SweepEngine dedicated{SweepOptions{.threads = options.threads}};
-  dedicated.run(count, setup, body);
+  process_engine(options.threads).run(count, setup, body);
 }
 
 }  // namespace rfidsim::sweep

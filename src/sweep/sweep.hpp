@@ -10,9 +10,8 @@
 //   therefore never change a single simulated bit: sweep output is
 //   byte-identical to the serial loop `for i: body(i)`.
 //
-// The serial reference (reliability::run_repeated) derives repetition i's
-// generator as Rng(seed).fork(i); cell_rng is that same derivation, which
-// is what makes the parallel and serial paths comparable byte for byte
+// A 1-thread sweep IS that serial loop, run inline on the calling thread,
+// so it is the reference every other thread count is compared against
 // (tests/reliability/parallel_test.cpp holds the engine to it).
 #pragma once
 
@@ -74,13 +73,20 @@ class SweepEngine {
   std::unique_ptr<ThreadPool> pool_;  ///< Null for the single-thread engine.
 };
 
-/// Process-wide engine at hardware concurrency, started on first use.
-/// Benches and estimators share it so a full bench run spins up one pool.
+/// The process-wide engine at hardware concurrency — parallel_for's engine
+/// for threads == 0.
 SweepEngine& shared_engine();
 
-/// One-shot convenience: runs body over [0, count) with `options.threads`
-/// workers. threads == 0 borrows the shared engine; an explicit thread
-/// count gets a dedicated pool of exactly that many workers.
+/// Runs body over [0, count) with `options.threads` workers. threads == 1
+/// runs every cell inline on the calling thread, in index order. Any other
+/// count runs on the process-wide engine of that many workers (0 = hardware
+/// concurrency): one engine per worker count, started on first use, reused
+/// by every later call and never torn down, so repeated calls spawn no
+/// threads. Preconditions:
+///  - cells must not call parallel_for: a nested call on a busy engine
+///    waits for the task it is running inside and never returns;
+///  - engines do not survive fork(): a forked child may only call
+///    parallel_for with threads == 1.
 void parallel_for(std::size_t count, const SweepOptions& options,
                   const std::function<void(std::size_t)>& body);
 
