@@ -52,8 +52,8 @@ int main() {
     HumanScenarioOptions duo = solo;
     duo.subject_count = 2;
     const Scenario pair_scenario = make_human_tracking_scenario(duo, cal);
-    const auto per_person =
-        per_object_reliability(pair_scenario, run_repeated(pair_scenario, 40, kSeed));
+    const auto per_person = per_object_reliability(
+        pair_scenario, run_repeated_parallel(pair_scenario, 40, kSeed));
     double worst = 1.0;
     for (const auto& [person, ci] : per_person) worst = std::min(worst, ci.estimate);
 

@@ -34,7 +34,7 @@ int main() {
   const std::size_t cases = sc.registry.object_count();
 
   // Two sequential portals = two passes of the same cart.
-  const RepeatedRuns runs = run_repeated(sc, 2, /*seed=*/99);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 2, /*seed=*/99);
   const sys::EventLog& portal_a = runs.logs[0];
   const sys::EventLog& portal_b = runs.logs[1];
 

@@ -55,7 +55,7 @@ int main() {
     track::Manifest manifest;
     manifest.expected.insert(sc.registry.objects().begin(), sc.registry.objects().end());
 
-    const RepeatedRuns runs = run_repeated(sc, kShipments, kSeed);
+    const RepeatedRuns runs = run_repeated_parallel(sc, kShipments, kSeed);
     std::size_t clean = 0;
     std::size_t short_cases = 0;
     for (const auto& log : runs.logs) {
@@ -77,7 +77,7 @@ int main() {
   opt.tag_faces = {scene::BoxFace::Front, scene::BoxFace::SideNear};
   opt.portal.antenna_count = 2;
   const Scenario sc = make_object_tracking_scenario(opt, cal);
-  const RepeatedRuns one = run_repeated(sc, 1, kSeed);
+  const RepeatedRuns one = run_repeated_parallel(sc, 1, kSeed);
   const std::string csv = sys::to_csv(one.logs[0]);
   std::printf("\nArchived trace for one shipment (%zu events), first lines:\n",
               one.logs[0].size());

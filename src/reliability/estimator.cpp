@@ -9,28 +9,13 @@
 
 namespace rfidsim::reliability {
 
-RepeatedRuns run_repeated(const Scenario& scenario, std::size_t repetitions,
-                          std::uint64_t seed, bool single_round) {
-  RepeatedRuns runs;
-  runs.logs.reserve(repetitions);
-  const Rng root(seed);
-  sys::PortalSimulator sim(scenario.scene, scenario.portal);
-  for (std::size_t rep = 0; rep < repetitions; ++rep) {
-    Rng rng = root.fork(rep);
-    runs.logs.push_back(single_round ? sim.run_single_round(scenario.portal.start_time_s, rng)
-                                     : sim.run(rng));
-  }
-  return runs;
-}
-
 RepeatedRuns run_repeated_parallel(const Scenario& scenario, std::size_t repetitions,
                                    std::uint64_t seed, std::size_t threads,
                                    bool single_round) {
   RepeatedRuns runs;
   runs.logs.resize(repetitions);
-  // Cell rep's generator is sweep::cell_rng(seed, rep) == Rng(seed).fork(rep),
-  // the exact derivation of run_repeated's serial loop — which is why the
-  // two paths are byte-identical regardless of thread count (see
+  // Cell rep's generator is sweep::cell_rng(seed, rep), so results are
+  // byte-identical regardless of thread count (see
   // tests/reliability/parallel_test.cpp). One simulator per lane: the run
   // fully resets per-pass state, and the evaluator's static-geometry cache
   // carried between cells holds first-evaluation results verbatim, so lane

@@ -24,20 +24,14 @@ struct RepeatedRuns {
   std::vector<sys::EventLog> logs;
 };
 
-/// Runs the scenario `repetitions` times with independently forked RNG
-/// streams derived from `seed`. `single_round` selects the paper's
-/// "single read" mode (one inventory round at t = 0, used by Fig. 2)
-/// instead of a full continuous-mode pass.
-RepeatedRuns run_repeated(const Scenario& scenario, std::size_t repetitions,
-                          std::uint64_t seed, bool single_round = false);
-
-/// Sweep-backed parallel variant: byte-identical results to run_repeated
-/// (each repetition's RNG is a pure function of (seed, repetition index)
-/// per sweep::cell_rng, so scheduling cannot change outcomes), spread
-/// across `threads` workers of the rfidsim::sweep engine. `threads` of 0
-/// uses the shared hardware-concurrency pool. All paper benches run on
-/// this path; run_repeated stays as the serial reference the differential
-/// tests compare against.
+/// Runs the scenario `repetitions` times on the rfidsim::sweep engine.
+/// Repetition i's generator is sweep::cell_rng(seed, i) == Rng(seed).fork(i),
+/// a pure function of (seed, i), so results are byte-identical for every
+/// `threads`: 0 uses the shared hardware-concurrency pool, and 1 runs every
+/// repetition inline on the calling thread in index order — the serial
+/// reference the differential tests compare against. `single_round`
+/// selects the paper's "single read" mode (one inventory round at t = 0,
+/// used by Fig. 2) instead of a full continuous-mode pass.
 RepeatedRuns run_repeated_parallel(const Scenario& scenario, std::size_t repetitions,
                                    std::uint64_t seed, std::size_t threads = 0,
                                    bool single_round = false);
@@ -62,13 +56,11 @@ double mean_tag_reliability(const Scenario& scenario, const RepeatedRuns& runs);
 /// Mean tracking reliability over all objects.
 double mean_object_reliability(const Scenario& scenario, const RepeatedRuns& runs);
 
-/// Convenience: run + mean tag reliability in one call (sweep-backed,
-/// byte-identical to the serial path).
+/// Convenience: run + mean tag reliability in one call.
 double measure_tag_reliability(const Scenario& scenario, std::size_t repetitions,
                                std::uint64_t seed);
 
-/// Convenience: run + mean tracking reliability in one call (sweep-backed,
-/// byte-identical to the serial path).
+/// Convenience: run + mean tracking reliability in one call.
 double measure_tracking_reliability(const Scenario& scenario, std::size_t repetitions,
                                     std::uint64_t seed);
 

@@ -100,7 +100,7 @@ TEST(PaperClaim, ReflectionOffSecondSubjectHelpsCloserOne) {
   HumanScenarioOptions pair = solo;
   pair.subject_count = 2;
   const Scenario duo = make_human_tracking_scenario(pair, kCal);
-  const auto per_obj = per_object_reliability(duo, run_repeated(duo, 60, kSeed));
+  const auto per_obj = per_object_reliability(duo, run_repeated_parallel(duo, 60, kSeed));
   double closer = 0.0;
   for (const auto& [obj, ci] : per_obj) {
     if (obj.value == 1) closer = ci.estimate;

@@ -18,7 +18,7 @@ TEST(PipelineTest, EventsResolveToRegisteredObjects) {
   ObjectScenarioOptions opt;
   opt.tag_faces = {scene::BoxFace::Front, scene::BoxFace::SideNear};
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 4, 42);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 4, 42);
   for (const auto& log : runs.logs) {
     for (const auto& ev : log) {
       EXPECT_TRUE(sc.registry.object_of(ev.tag).has_value())
@@ -30,7 +30,7 @@ TEST(PipelineTest, EventsResolveToRegisteredObjects) {
 TEST(PipelineTest, TrackingAnalyzerAgreesWithEstimator) {
   ObjectScenarioOptions opt;
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 6, 43);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 6, 43);
   const track::TrackingAnalyzer analyzer(sc.registry);
   double manual_sum = 0.0;
   for (const auto& log : runs.logs) {
@@ -42,7 +42,7 @@ TEST(PipelineTest, TrackingAnalyzerAgreesWithEstimator) {
 TEST(PipelineTest, WindowSmootherBridgesIntraPassGaps) {
   ObjectScenarioOptions opt;
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 1, 44);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 1, 44);
   const auto& log = runs.logs[0];
   if (log.empty()) GTEST_SKIP() << "no events this seed";
   // With a window the length of the pass, every tag has one presence
@@ -61,7 +61,7 @@ TEST(PipelineTest, AccompanyConstraintRecoversMissedBoxes) {
   ObjectScenarioOptions opt;
   opt.tag_faces = {scene::BoxFace::SideFar};  // Deliberately weak spot.
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 10, 45);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 10, 45);
   const track::TrackingAnalyzer analyzer(sc.registry);
 
   std::vector<std::vector<track::ObjectId>> groups{
@@ -86,7 +86,7 @@ TEST(PipelineTest, RouteConstraintAcrossSequentialPortals) {
   opt.tag_faces = {scene::BoxFace::Top};  // Weak: plenty of misses.
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
   const track::TrackingAnalyzer analyzer(sc.registry);
-  const RepeatedRuns runs = run_repeated(sc, 2, 46);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 2, 46);
 
   track::RouteObservations obs;
   obs.checkpoint_count = 2;

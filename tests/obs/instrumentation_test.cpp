@@ -80,11 +80,11 @@ TEST_F(InstrumentationTest, EventStreamsAreIdenticalWithObsOnAndOff) {
 
   obs::set_enabled(true);
   obs::set_trace_enabled(true);
-  const RepeatedRuns with_obs = reliability::run_repeated(sc, kReps, kSeed);
+  const RepeatedRuns with_obs = reliability::run_repeated_parallel(sc, kReps, kSeed);
 
   obs::set_enabled(false);
   obs::set_trace_enabled(false);
-  const RepeatedRuns without_obs = reliability::run_repeated(sc, kReps, kSeed);
+  const RepeatedRuns without_obs = reliability::run_repeated_parallel(sc, kReps, kSeed);
 
   EXPECT_FALSE(with_obs.logs.empty());
   EXPECT_TRUE(logs_equal(with_obs, without_obs));
@@ -100,7 +100,7 @@ TEST_F(InstrumentationTest, PortalRunFeedsGen2AndPathCacheCounters) {
   const std::uint64_t misses_before =
       obs::counter("scene.path_cache.full_misses").value();
 
-  (void)reliability::run_repeated(sc, 2, 7);
+  (void)reliability::run_repeated_parallel(sc, 2, 7);
 
   if (!kHooksLive) {
     EXPECT_EQ(obs::counter("gen2.rounds").value(), rounds_before);
@@ -121,7 +121,7 @@ TEST_F(InstrumentationTest, DisabledHooksRecordNothing) {
   const Scenario sc = reliability::make_read_range_scenario(3.0, cal);
   const std::uint64_t rounds_before = obs::counter("gen2.rounds").value();
   const std::uint64_t passes_before = obs::counter("sys.portal.passes").value();
-  (void)reliability::run_repeated(sc, 1, 7);
+  (void)reliability::run_repeated_parallel(sc, 1, 7);
   EXPECT_EQ(obs::counter("gen2.rounds").value(), rounds_before);
   EXPECT_EQ(obs::counter("sys.portal.passes").value(), passes_before);
 }

@@ -14,28 +14,28 @@ Scenario easy_scenario() {
 
 TEST(EstimatorTest, RunRepeatedProducesRequestedLogs) {
   const Scenario sc = easy_scenario();
-  const RepeatedRuns runs = run_repeated(sc, 7, 123);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 7, 123);
   EXPECT_EQ(runs.logs.size(), 7u);
 }
 
 TEST(EstimatorTest, DeterministicAcrossInvocations) {
   const Scenario sc = easy_scenario();
-  const auto a = distinct_tags_per_run(run_repeated(sc, 5, 99));
-  const auto b = distinct_tags_per_run(run_repeated(sc, 5, 99));
+  const auto a = distinct_tags_per_run(run_repeated_parallel(sc, 5, 99));
+  const auto b = distinct_tags_per_run(run_repeated_parallel(sc, 5, 99));
   EXPECT_EQ(a, b);
 }
 
 TEST(EstimatorTest, DifferentSeedsDiffer) {
   // At a marginal distance the per-run counts depend on the draws.
   const Scenario sc = make_read_range_scenario(6.0, kCal);
-  const auto a = distinct_tags_per_run(run_repeated(sc, 10, 1));
-  const auto b = distinct_tags_per_run(run_repeated(sc, 10, 2));
+  const auto a = distinct_tags_per_run(run_repeated_parallel(sc, 10, 1));
+  const auto b = distinct_tags_per_run(run_repeated_parallel(sc, 10, 2));
   EXPECT_NE(a, b);
 }
 
 TEST(EstimatorTest, DistinctCountsAreBoundedByPopulation) {
   const Scenario sc = easy_scenario();
-  for (double count : distinct_tags_per_run(run_repeated(sc, 5, 7))) {
+  for (double count : distinct_tags_per_run(run_repeated_parallel(sc, 5, 7))) {
     EXPECT_GE(count, 0.0);
     EXPECT_LE(count, 20.0);
   }
@@ -43,7 +43,7 @@ TEST(EstimatorTest, DistinctCountsAreBoundedByPopulation) {
 
 TEST(EstimatorTest, PerTagReliabilityCoversAllTags) {
   const Scenario sc = easy_scenario();
-  const RepeatedRuns runs = run_repeated(sc, 10, 5);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 10, 5);
   const auto per_tag = per_tag_reliability(sc, runs);
   EXPECT_EQ(per_tag.size(), 20u);
   for (const auto& [id, ci] : per_tag) {
@@ -71,15 +71,15 @@ TEST(EstimatorTest, ObjectReliabilityUsesRegistry) {
   ObjectScenarioOptions opt;
   opt.tag_faces = {scene::BoxFace::Front};
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 6, 11);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 6, 11);
   const auto per_object = per_object_reliability(sc, runs);
   EXPECT_EQ(per_object.size(), 12u);
 }
 
 TEST(EstimatorTest, SingleRoundModeIsShorterThanContinuous) {
   const Scenario sc = easy_scenario();
-  const RepeatedRuns single = run_repeated(sc, 3, 17, /*single_round=*/true);
-  const RepeatedRuns continuous = run_repeated(sc, 3, 17, /*single_round=*/false);
+  const RepeatedRuns single = run_repeated_parallel(sc, 3, 17, 0, /*single_round=*/true);
+  const RepeatedRuns continuous = run_repeated_parallel(sc, 3, 17, 0, /*single_round=*/false);
   // Continuous mode sees at least as many events (re-reads across rounds
   // are collapsed per tag, so compare raw event counts).
   std::size_t single_events = 0;
@@ -91,7 +91,7 @@ TEST(EstimatorTest, SingleRoundModeIsShorterThanContinuous) {
 
 TEST(EstimatorTest, MeanReliabilityIsAverageOfPerTag) {
   const Scenario sc = make_read_range_scenario(5.0, kCal);
-  const RepeatedRuns runs = run_repeated(sc, 8, 23);
+  const RepeatedRuns runs = run_repeated_parallel(sc, 8, 23);
   const auto per_tag = per_tag_reliability(sc, runs);
   double sum = 0.0;
   for (const auto& [id, ci] : per_tag) sum += ci.estimate;

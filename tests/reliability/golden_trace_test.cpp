@@ -70,7 +70,7 @@ TEST(GoldenTraceTest, ReadRangeGrid) {
   const Scenario sc =
       make_read_range_scenario(4.0, CalibrationProfile::paper2006());
   const TraceDigest golden{{15, 18, 13}, 0x1edf117b9ea6bc37ull};
-  expect_digest(digest(run_repeated(sc, 3, kGoldenSeed)), golden);
+  expect_digest(digest(run_repeated_parallel(sc, 3, kGoldenSeed)), golden);
 }
 
 TEST(GoldenTraceTest, ObjectTrackingCart) {
@@ -80,7 +80,7 @@ TEST(GoldenTraceTest, ObjectTrackingCart) {
   const Scenario sc =
       make_object_tracking_scenario(opt, CalibrationProfile::paper2006());
   const TraceDigest golden{{41, 42}, 0x2d76b698c52ae4bbull};
-  expect_digest(digest(run_repeated(sc, 2, kGoldenSeed)), golden);
+  expect_digest(digest(run_repeated_parallel(sc, 2, kGoldenSeed)), golden);
 }
 
 TEST(GoldenTraceTest, SingleRoundInventory) {
@@ -89,15 +89,16 @@ TEST(GoldenTraceTest, SingleRoundInventory) {
   const Scenario sc =
       make_read_range_scenario(3.0, CalibrationProfile::paper2006());
   const TraceDigest golden{{14, 10, 16, 14}, 0xd2faa7dfb6108924ull};
-  expect_digest(digest(run_repeated(sc, 4, kGoldenSeed, true)), golden);
+  expect_digest(digest(run_repeated_parallel(sc, 4, kGoldenSeed, 0, true)), golden);
 }
 
 TEST(GoldenTraceTest, ParallelPathYieldsTheSameDigest) {
-  // Ties the golden layer to the sweep engine: the parallel estimator must
-  // reproduce the identical digest, so one constant guards both paths.
+  // Ties the golden layer to the sweep engine's thread count: the inline
+  // 1-thread run and a 4-thread run must produce the identical digest, so
+  // one constant guards every thread count.
   const Scenario sc =
       make_read_range_scenario(4.0, CalibrationProfile::paper2006());
-  EXPECT_EQ(digest(run_repeated(sc, 3, kGoldenSeed)),
+  EXPECT_EQ(digest(run_repeated_parallel(sc, 3, kGoldenSeed, 1)),
             digest(run_repeated_parallel(sc, 3, kGoldenSeed, 4)));
 }
 

@@ -1,7 +1,8 @@
-// Differential tests: the sweep-backed parallel estimator against the
-// serial reference loop. The contract is byte-identity — every field of
-// every event, in order — not statistical agreement; run_repeated stays in
-// the codebase precisely so these comparisons keep an independent witness.
+// Differential tests: the sweep-backed estimator at several thread counts
+// against its 1-thread run, which executes every repetition inline on the
+// calling thread in index order — the serial witness. The contract is
+// byte-identity — every field of every event, in order — not statistical
+// agreement.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -38,7 +39,8 @@ TEST(ParallelEstimatorTest, MatchesSerialResultsExactly) {
   ObjectScenarioOptions opt;
   opt.tag_faces = {scene::BoxFace::Front};
   const Scenario sc = make_object_tracking_scenario(opt, kCal);
-  expect_logs_identical(run_repeated(sc, 8, 321), run_repeated_parallel(sc, 8, 321, 4));
+  expect_logs_identical(run_repeated_parallel(sc, 8, 321, 1),
+                        run_repeated_parallel(sc, 8, 321, 4));
 }
 
 TEST(ParallelEstimatorTest, MatchesSerialOnHumanScenario) {
@@ -49,16 +51,16 @@ TEST(ParallelEstimatorTest, MatchesSerialOnHumanScenario) {
   opt.tag_spots = {scene::BodySpot::Front, scene::BodySpot::Back};
   opt.portal.antenna_count = 2;
   const Scenario sc = make_human_tracking_scenario(opt, kCal);
-  expect_logs_identical(run_repeated(sc, 6, 777), run_repeated_parallel(sc, 6, 777, 3));
+  expect_logs_identical(run_repeated_parallel(sc, 6, 777, 1),
+                        run_repeated_parallel(sc, 6, 777, 3));
 }
 
 TEST(ParallelEstimatorTest, IdenticalAcrossThreadCounts) {
-  // 1, 2, 5 and hardware threads must all produce the same bytes; only
-  // wall-clock may differ. threads == 1 takes the inline no-pool path.
+  // 2, 5 and hardware threads must all produce the bytes of the inline
+  // 1-thread run; only wall-clock may differ.
   const Scenario sc = make_read_range_scenario(4.0, kCal);
-  const RepeatedRuns reference = run_repeated(sc, 10, 20070625);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                                    std::size_t{0}}) {
+  const RepeatedRuns reference = run_repeated_parallel(sc, 10, 20070625, 1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{5}, std::size_t{0}}) {
     SCOPED_TRACE(threads);
     expect_logs_identical(reference, run_repeated_parallel(sc, 10, 20070625, threads));
   }
@@ -66,7 +68,7 @@ TEST(ParallelEstimatorTest, IdenticalAcrossThreadCounts) {
 
 TEST(ParallelEstimatorTest, SingleRoundModeMatchesToo) {
   const Scenario sc = make_read_range_scenario(4.0, kCal);
-  expect_logs_identical(run_repeated(sc, 6, 11, true),
+  expect_logs_identical(run_repeated_parallel(sc, 6, 11, 1, true),
                         run_repeated_parallel(sc, 6, 11, 3, true));
 }
 
@@ -74,7 +76,7 @@ TEST(ParallelEstimatorTest, MoreThreadsThanRepsIsFine) {
   const Scenario sc = make_read_range_scenario(2.0, kCal);
   const RepeatedRuns runs = run_repeated_parallel(sc, 2, 5, 16);
   EXPECT_EQ(runs.logs.size(), 2u);
-  expect_logs_identical(run_repeated(sc, 2, 5), runs);
+  expect_logs_identical(run_repeated_parallel(sc, 2, 5, 1), runs);
 }
 
 TEST(ParallelEstimatorTest, ZeroThreadsUsesHardwareConcurrency) {
