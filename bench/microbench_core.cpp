@@ -18,6 +18,7 @@
 #include "reliability/calibration.hpp"
 #include "reliability/estimator.hpp"
 #include "reliability/scenarios.hpp"
+#include "scene/batch_evaluator.hpp"
 #include "scene/path_evaluator.hpp"
 #include "system/portal.hpp"
 
@@ -81,11 +82,12 @@ void BM_FullPass(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPass);
 
-/// Cached path evaluation with observability toggled at runtime. The pair
-/// exists so `--check-obs-overhead` (and anyone eyeballing the regular
-/// benchmark output) can see that the hot loop costs the same either way:
-/// the evaluator keeps plain per-instance counters and only touches the
-/// registry when it is destroyed.
+/// Cached path evaluation — the batch kernel with its static-geometry cache
+/// on, over the static read-range scene — with observability toggled at
+/// runtime. The pair exists so `--check-obs-overhead` (and anyone eyeballing
+/// the regular benchmark output) can see that the hot loop costs the same
+/// either way: the evaluator keeps plain per-instance counters and only
+/// touches the registry when it is flushed or destroyed.
 void BM_PathEvaluationCached(benchmark::State& state) {
   const bool obs_on = state.range(0) != 0;
   const bool saved = obs::enabled();
@@ -94,18 +96,22 @@ void BM_PathEvaluationCached(benchmark::State& state) {
   const reliability::Scenario sc = reliability::make_read_range_scenario(4.0, cal);
   scene::EvaluatorParams params = sc.portal.evaluator;
   params.static_geometry_cache = true;
-  const scene::PathEvaluator evaluator(sc.scene, params);
-  const auto tags = sc.scene.all_tags();
+  scene::BatchPathEvaluator evaluator(sc.scene, params);
+  std::vector<rf::PathTerms> terms;
   for (auto _ : state) {
-    for (const auto& tag : tags) {
-      benchmark::DoNotOptimize(evaluator.evaluate(0, tag, 0.0));
-    }
+    evaluator.evaluate_all(0, 0.0, terms);
+    benchmark::DoNotOptimize(terms.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tags.size()));
+                          static_cast<std::int64_t>(evaluator.tag_count()));
   obs::set_enabled(saved);
 }
 BENCHMARK(BM_PathEvaluationCached)->Arg(0)->Arg(1)->ArgNames({"obs"});
+
+/// Cached evaluate_all passes per gate slice: ~5 ms of thread CPU time on
+/// the 20-tag static read-range scene.
+constexpr std::size_t kPassesPerSlice = 75000;
 
 /// Shared A/B overhead gate: finely interleaved ~5 ms slices in a
 /// deterministically shuffled order, compared by per-mode medians, 1%
@@ -156,7 +162,7 @@ int run_ab_gate(const char* label,
   return 0;
 }
 
-/// `--check-obs-overhead`: times the cached path-eval hot loop with obs
+/// `--check-obs-overhead`: times the cached batch path-eval hot loop with obs
 /// enabled vs disabled and fails if the enabled loop is more than 1%
 /// slower. The hot loop compiles identically in both modes, so this holds
 /// with plenty of margin; a regression here means someone put registry
@@ -167,9 +173,9 @@ int check_obs_overhead() {
   const reliability::Scenario sc = reliability::make_read_range_scenario(4.0, cal);
   scene::EvaluatorParams params = sc.portal.evaluator;
   params.static_geometry_cache = true;
-  const auto tags = sc.scene.all_tags();
 
-  const scene::PathEvaluator evaluator(sc.scene, params);
+  scene::BatchPathEvaluator evaluator(sc.scene, params);
+  std::vector<rf::PathTerms> terms;
   double sink = 0.0;
   // Thread CPU time, not wall time: a preempted slice would otherwise
   // charge the whole scheduling gap to whichever mode was running.
@@ -180,12 +186,10 @@ int check_obs_overhead() {
   };
   auto time_slice = [&](bool obs_on) {
     obs::set_enabled(obs_on);
-    constexpr std::size_t kPasses = 5000;  // ~5 ms per slice.
     const double t0 = thread_seconds();
-    for (std::size_t p = 0; p < kPasses; ++p) {
-      for (const auto& tag : tags) {
-        sink += evaluator.evaluate(0, tag, 0.0).distance_m;
-      }
+    for (std::size_t p = 0; p < kPassesPerSlice; ++p) {
+      evaluator.evaluate_all(0, 0.0, terms);
+      sink += terms[0].distance_m;
     }
     return thread_seconds() - t0;
   };
@@ -196,19 +200,39 @@ int check_obs_overhead() {
   return rc;
 }
 
-/// Disabled-profiler-hook overhead: the same cached path-eval loop, with
-/// every pass wrapped in a ScopedPhase marker whose attribution switch is
-/// off, vs the bare loop. Markers live on per-round orchestration paths
-/// (portal run, store route/merge), so a disabled marker must cost no more
-/// than the disabled metric hooks it sits next to — the same 1% budget.
+/// Cached passes bracketed by one marker in check_phase_overhead.
+constexpr std::size_t kPassesPerMarker = 16;
+
+/// kPassesPerMarker cached passes, kept out of line so both gate modes run
+/// the identical machine code for the work and differ only by the marker
+/// around it, not by how the compiler laid out two inlined copies.
+[[gnu::noinline]] double cached_passes(scene::BatchPathEvaluator& evaluator,
+                                       std::vector<rf::PathTerms>& terms) {
+  double sink = 0.0;
+  for (std::size_t p = 0; p < kPassesPerMarker; ++p) {
+    evaluator.evaluate_all(0, 0.0, terms);
+    sink += terms[0].distance_m;
+  }
+  return sink;
+}
+
+/// Disabled-profiler-hook overhead: the same cached batch path-eval loop, with
+/// every kPassesPerMarker passes wrapped in a ScopedPhase marker whose
+/// attribution switch is off, vs the bare loop. Markers live on per-round
+/// orchestration paths (portal run, store route/merge), so a disabled marker
+/// must cost no more than the disabled metric hooks it sits next to — the
+/// same 1% budget, at the density it was set for: one marker per ~1 us of
+/// cached path evaluation, which was one pass over the scene's 20 tags when
+/// the cache lived in the scalar evaluator. A cached batch pass is ~15x
+/// cheaper, so a marker brackets 16 of them.
 int check_phase_overhead() {
   const auto cal = reliability::CalibrationProfile::paper2006();
   const reliability::Scenario sc = reliability::make_read_range_scenario(4.0, cal);
   scene::EvaluatorParams params = sc.portal.evaluator;
   params.static_geometry_cache = true;
-  const auto tags = sc.scene.all_tags();
 
-  const scene::PathEvaluator evaluator(sc.scene, params);
+  scene::BatchPathEvaluator evaluator(sc.scene, params);
+  std::vector<rf::PathTerms> terms;
   double sink = 0.0;
   auto thread_seconds = [] {
     timespec ts{};
@@ -218,18 +242,13 @@ int check_phase_overhead() {
   const bool saved = obs::prof::attribution_enabled();
   obs::prof::set_attribution_enabled(false);
   auto time_slice = [&](bool with_markers) {
-    constexpr std::size_t kPasses = 5000;  // ~5 ms per slice.
     const double t0 = thread_seconds();
-    for (std::size_t p = 0; p < kPasses; ++p) {
+    for (std::size_t p = 0; p < kPassesPerSlice; p += kPassesPerMarker) {
       if (with_markers) {
         const obs::prof::ScopedPhase phase(obs::prof::Phase::kPathEval);
-        for (const auto& tag : tags) {
-          sink += evaluator.evaluate(0, tag, 0.0).distance_m;
-        }
+        sink += cached_passes(evaluator, terms);
       } else {
-        for (const auto& tag : tags) {
-          sink += evaluator.evaluate(0, tag, 0.0).distance_m;
-        }
+        sink += cached_passes(evaluator, terms);
       }
     }
     return thread_seconds() - t0;

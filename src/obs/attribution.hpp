@@ -39,7 +39,7 @@ namespace rfidsim::obs::prof {
 /// the report order stable and the hot-path marker a couple of array
 /// indexes.
 enum class Phase : std::uint8_t {
-  kPathEval = 0,       ///< PathEvaluator::evaluate_all per antenna round.
+  kPathEval = 0,       ///< BatchPathEvaluator::evaluate_all per antenna round.
   kPortalSim = 1,      ///< PortalSimulator::run outside the named children.
   kGen2Inventory = 2,  ///< InventoryEngine::run_round per reader round.
   kEventLogAppend = 3, ///< Singulation results appended to the event log.

@@ -64,7 +64,8 @@ class Entity {
   Pose pose_at(double t_s) const { return trajectory_->pose_at(t_s); }
 
   /// True iff this entity's pose (and hence every tag on it) is
-  /// time-invariant — the gate for the PathEvaluator static-geometry cache.
+  /// time-invariant — the gate for BatchPathEvaluator's static-geometry
+  /// cache.
   bool is_static() const { return trajectory_->is_static(); }
 
   /// World position of a tag centre at time t.

@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "rf/material.hpp"
 
 namespace rfidsim::scene {
@@ -13,40 +12,6 @@ namespace rfidsim::scene {
 PathEvaluator::PathEvaluator(const Scene& scene, EvaluatorParams params)
     : scene_(scene), params_(params) {
   require(!scene.antennas.empty(), "PathEvaluator: scene has no antennas");
-
-  entity_static_.reserve(scene.entities.size());
-  tag_offset_.reserve(scene.entities.size());
-  scene_static_ = true;
-  for (const Entity& entity : scene.entities) {
-    const bool is_static = entity.is_static();
-    entity_static_.push_back(is_static);
-    scene_static_ = scene_static_ && is_static;
-    tag_offset_.push_back(tag_count_);
-    tag_count_ += entity.tags().size();
-  }
-  if (params_.static_geometry_cache) {
-    cache_.resize(scene.antennas.size() * tag_count_);
-  }
-}
-
-PathEvaluator::~PathEvaluator() { flush_metrics(); }
-
-void PathEvaluator::flush_metrics() const {
-  if (obs::hooks_enabled()) {
-    static const struct Counters {
-      obs::Counter& full_hits = obs::counter("scene.path_cache.full_hits");
-      obs::Counter& full_misses = obs::counter("scene.path_cache.full_misses");
-      obs::Counter& pair_hits = obs::counter("scene.path_cache.pair_hits");
-      obs::Counter& pair_misses = obs::counter("scene.path_cache.pair_misses");
-      obs::Counter& bypassed = obs::counter("scene.path_cache.bypassed");
-    } c;
-    c.full_hits.add(cache_stats_.full_hits);
-    c.full_misses.add(cache_stats_.full_misses);
-    c.pair_hits.add(cache_stats_.pair_hits);
-    c.pair_misses.add(cache_stats_.pair_misses);
-    c.bypassed.add(cache_stats_.bypassed);
-  }
-  cache_stats_ = PathCacheStats{};
 }
 
 rf::PathTerms PathEvaluator::evaluate(std::size_t antenna_index, const TagAddress& tag,
@@ -57,108 +22,58 @@ rf::PathTerms PathEvaluator::evaluate(std::size_t antenna_index, const TagAddres
   const Entity& entity = scene_.entities[tag.entity];
   require(tag.tag < entity.tags().size(), "PathEvaluator: tag index out of range");
 
-  if (!params_.static_geometry_cache || !entity_static_[tag.entity]) {
-    ++cache_stats_.bypassed;
-    return assemble(compute_pair_terms(antenna_index, tag, t_s), antenna_index, tag,
-                    t_s);
-  }
-
-  CacheSlot& slot = cache_[antenna_index * tag_count_ + tag_offset_[tag.entity] + tag.tag];
-  if (scene_static_) {
-    // Nothing on this path can change with time: cache the whole result.
-    if (!slot.full_ready) {
-      ++cache_stats_.full_misses;
-      slot.full = assemble(compute_pair_terms(antenna_index, tag, t_s), antenna_index,
-                           tag, t_s);
-      slot.full_ready = true;
-    } else {
-      ++cache_stats_.full_hits;
-    }
-    return slot.full;
-  }
-  // The tag holds still but other bodies move: reuse the pair-local terms,
-  // re-evaluate the cross-entity ones.
-  if (!slot.pair_ready) {
-    ++cache_stats_.pair_misses;
-    slot.pair = compute_pair_terms(antenna_index, tag, t_s);
-    slot.pair_ready = true;
-  } else {
-    ++cache_stats_.pair_hits;
-  }
-  return assemble(slot.pair, antenna_index, tag, t_s);
-}
-
-PathEvaluator::PairTerms PathEvaluator::compute_pair_terms(std::size_t antenna_index,
-                                                           const TagAddress& tag,
-                                                           double t_s) const {
-  const Entity& entity = scene_.entities[tag.entity];
   const AntennaSite& antenna = scene_.antennas[antenna_index];
   const Vec3 tag_pos = entity.tag_position(tag.tag, t_s);
   const Vec3 to_antenna = antenna.pose.position - tag_pos;
 
-  PairTerms pair;
-  pair.tag_position = tag_pos;
-  pair.distance_m = std::max(to_antenna.norm(), 0.01);
+  rf::PathTerms terms;
+  terms.distance_m = std::max(to_antenna.norm(), 0.01);
 
   // Antenna pattern gains (the tag side honours the tag's design: a dual
   // dipole responds on its better element).
-  pair.reader_gain = antenna.pattern.gain_toward(antenna.pose, tag_pos);
+  terms.reader_gain = antenna.pattern.gain_toward(antenna.pose, tag_pos);
   const Vec3 axis = entity.tag_dipole_axis(tag.tag, t_s);
   const Vec3 design_normal = entity.tag_patch_normal(tag.tag, t_s);
-  pair.tag_gain =
+  terms.tag_gain =
       rf::tag_design_gain(entity.tags()[tag.tag].mount.design, params_.tag_antenna,
                           axis, design_normal, to_antenna);
 
   // Circularly-polarized portal antenna: 3 dB to any linear tag on
   // boresight, worse off-axis as the circularity (axial ratio) degrades.
-  pair.polarization_loss = rf::polarization_mismatch(
+  terms.polarization_loss = rf::polarization_mismatch(
       antenna.pattern.params().circular_polarization, antenna.pose.frame.up, axis,
       -to_antenna);
   if (antenna.pattern.params().circular_polarization) {
     const double off = angle_between(antenna.pose.frame.forward, tag_pos - antenna.pose.position);
     const double frac = std::min(off / (std::numbers::pi / 2.0), 1.0);
-    pair.polarization_loss +=
+    terms.polarization_loss +=
         Decibel(antenna.pattern.params().axial_ratio_loss_db_at_90deg * frac * frac);
   }
 
-  pair.coupling_loss = coupling_loss(tag, t_s);
+  terms.coupling_loss = coupling_loss(tag, t_s);
 
   // Direct path: angle-resolved image factor (cancellation toward grazing
   // directions, possible constructive gain broadside). sin(alpha) is the
   // elevation of the departure direction above the tag plane; reading from
   // behind the face (dot < 0) is grazing-at-best, and the occlusion term
-  // (assemble) covers the body in the way.
+  // below covers the body in the way.
   const TagMount& mount = entity.tags()[tag.tag].mount;
   const Vec3 dir = to_antenna.normalized();
   const double sin_alpha = std::max(design_normal.dot(dir), 0.02);
-  pair.direct_image_loss = -rf::image_factor_gain(
+  const Decibel direct_image_loss = -rf::image_factor_gain(
       mount.backing_material, mount.backing_gap_m, sin_alpha, params_.frequency_hz);
-  pair.direct_multipath = params_.two_ray.gain(
+  const Decibel direct_multipath = params_.two_ray.gain(
       antenna.pose.position.z, tag_pos.z,
       std::hypot(to_antenna.x, to_antenna.y), params_.frequency_hz);
 
   // Scatter path: the diffuse indoor field. Pays a fixed excess over free
   // space but bypasses occlusion and pattern nulls (angle-averaged terms).
-  pair.scatter_material =
+  const Decibel scatter_material =
       -rf::image_factor_gain(mount.backing_material, mount.backing_gap_m,
                              params_.scatter_sin_alpha, params_.frequency_hz) +
       Decibel(params_.scatter_excess_db);
 
-  return pair;
-}
-
-rf::PathTerms PathEvaluator::assemble(const PairTerms& pair, std::size_t antenna_index,
-                                      const TagAddress& tag, double t_s) const {
-  const AntennaSite& antenna = scene_.antennas[antenna_index];
-  const Vec3& tag_pos = pair.tag_position;
   const Segment path{tag_pos, antenna.pose.position};
-
-  rf::PathTerms terms;
-  terms.distance_m = pair.distance_m;
-  terms.reader_gain = pair.reader_gain;
-  terms.tag_gain = pair.tag_gain;
-  terms.polarization_loss = pair.polarization_loss;
-  terms.coupling_loss = pair.coupling_loss;
   terms.reflection_gain = reflection_gain(path, tag, t_s);
 
   // Proximity absorption by adjacent water-rich bodies (both propagation
@@ -178,23 +93,22 @@ rf::PathTerms PathEvaluator::assemble(const PairTerms& pair, std::size_t antenna
   }
   terms.blockage_loss = Decibel(proximity_db);
 
-  const Decibel direct_material = pair.direct_image_loss +
-                                  occlusion_loss(path, tag, t_s) +
+  const Decibel direct_material = direct_image_loss + occlusion_loss(path, tag, t_s) +
                                   fresnel_blockage(path, tag, t_s);
   const Decibel scatter_tag_gain{params_.scatter_tag_gain_dbi};
 
   // Pick whichever path delivers more power (they differ only in the
   // tag-gain, material, and multipath terms).
   const double direct_score =
-      terms.tag_gain.value() - direct_material.value() + pair.direct_multipath.value();
-  const double scatter_score = scatter_tag_gain.value() - pair.scatter_material.value();
+      terms.tag_gain.value() - direct_material.value() + direct_multipath.value();
+  const double scatter_score = scatter_tag_gain.value() - scatter_material.value();
   if (scatter_score > direct_score) {
     terms.tag_gain = scatter_tag_gain;
-    terms.material_loss = pair.scatter_material;
+    terms.material_loss = scatter_material;
     terms.multipath_gain = Decibel(0.0);
   } else {
     terms.material_loss = direct_material;
-    terms.multipath_gain = pair.direct_multipath;
+    terms.multipath_gain = direct_multipath;
   }
 
   return terms;

@@ -15,6 +15,10 @@
 //                       on) the path — the paper's "signal reflections off
 //                       the farther subject",
 //   multipath           two-ray ground ripple.
+//
+// This scalar evaluator is the uncached reference oracle: every call
+// recomputes every term. Production runs BatchPathEvaluator, which must
+// stay bit-identical to it (tests/scene/kernel_differential_test).
 #pragma once
 
 #include <cstddef>
@@ -76,47 +80,26 @@ struct EvaluatorParams {
   double proximity_loss_db = 3.5;
   double proximity_range_m = 0.8;
 
-  /// Static-geometry fast path (DESIGN.md, "sweep engine" section). Terms
-  /// that are pure functions of time-invariant poses are computed once per
-  /// (antenna, tag) pair and reused: the pair-local terms (distance, gains,
-  /// polarization, coupling neighbourhood, image/multipath factors) when
-  /// the tag's own entity is static, and the entire rf::PathTerms when
-  /// every entity in the scene is static (occlusion chords, reflector sets
-  /// and proximity then cannot change either). Cached values are the
-  /// first-evaluation results verbatim, so enabling the cache is
-  /// bit-identical to disabling it — tests/scene/path_cache_test.cpp holds
-  /// it to that.
+  /// BatchPathEvaluator's static-geometry cache (see batch_evaluator.hpp).
+  /// Terms that are pure functions of time-invariant poses are computed
+  /// once per (antenna, tag) pair and reused: the pair-local terms
+  /// (distance, gains, polarization, coupling neighbourhood, image/multipath
+  /// factors) when the tag's own entity is static, and the entire
+  /// rf::PathTerms when every entity in the scene is static (occlusion
+  /// chords, reflector sets and proximity then cannot change either).
+  /// Cached values are the first-evaluation results verbatim, so enabling
+  /// the cache is bit-identical to disabling it —
+  /// tests/scene/path_cache_test.cpp holds it to that. The scalar
+  /// PathEvaluator ignores it.
   bool static_geometry_cache = true;
 };
 
-/// Static-geometry cache effectiveness tallies for one evaluator. Plain
-/// (non-atomic) counters — the evaluator is single-threaded by contract —
-/// kept cheap enough to maintain unconditionally; flush_metrics() folds
-/// them into the process-wide obs registry.
-struct PathCacheStats {
-  std::uint64_t full_hits = 0;    ///< Whole-result cache hits (static scene).
-  std::uint64_t full_misses = 0;  ///< First evaluation of a (antenna, tag) slot.
-  std::uint64_t pair_hits = 0;    ///< Pair-term reuse (static tag, moving scene).
-  std::uint64_t pair_misses = 0;
-  std::uint64_t bypassed = 0;  ///< Cache off or the tag's entity moves.
-};
-
 /// Evaluates rf::PathTerms for antenna/tag pairs at given times.
-///
-/// Not thread-safe: the static-geometry cache mutates on evaluate(). Give
-/// each worker its own evaluator (PortalSimulator already owns one per
-/// instance), exactly as the sweep engine's per-cell simulators do.
 class PathEvaluator {
  public:
   /// The evaluator holds a reference to the scene; the scene must outlive
-  /// it and must not be mutated while the evaluator exists (the cache has
-  /// no way to observe entity or antenna edits).
+  /// it.
   PathEvaluator(const Scene& scene, EvaluatorParams params = {});
-
-  /// Flushes any unflushed cache tallies (see flush_metrics).
-  ~PathEvaluator();
-  PathEvaluator(const PathEvaluator&) = delete;
-  PathEvaluator& operator=(const PathEvaluator&) = delete;
 
   /// Full evaluation of one path at time `t_s`.
   rf::PathTerms evaluate(std::size_t antenna_index, const TagAddress& tag,
@@ -125,49 +108,7 @@ class PathEvaluator {
   const EvaluatorParams& params() const { return params_; }
   const Scene& scene() const { return scene_; }
 
-  /// True iff every entity in the scene is static (full-result caching).
-  bool scene_static() const { return scene_static_; }
-
-  /// This evaluator's cache tallies since construction or the last flush.
-  const PathCacheStats& cache_stats() const { return cache_stats_; }
-
-  /// Adds the local tallies to the obs registry's scene.path_cache.*
-  /// counters (when observability is enabled) and zeroes them. Called by
-  /// the destructor; callers wanting mid-life dumps may call it directly.
-  void flush_metrics() const;
-
  private:
-  /// Terms that depend only on the (static antenna, tag's own entity)
-  /// pair — reusable across time steps whenever that entity is static.
-  struct PairTerms {
-    Vec3 tag_position;
-    double distance_m = 0.0;
-    Decibel reader_gain;
-    Decibel tag_gain;
-    Decibel polarization_loss;
-    Decibel coupling_loss;
-    Decibel direct_image_loss;  ///< Backing/detuning part of material_loss.
-    Decibel direct_multipath;
-    Decibel scatter_material;
-  };
-
-  /// One cache slot per (antenna, tag) pair.
-  struct CacheSlot {
-    bool pair_ready = false;
-    bool full_ready = false;
-    PairTerms pair;
-    rf::PathTerms full;
-  };
-
-  /// Computes the pair-local terms from scratch at time `t_s`.
-  PairTerms compute_pair_terms(std::size_t antenna_index, const TagAddress& tag,
-                               double t_s) const;
-  /// Adds the cross-entity, possibly time-varying terms (occlusion,
-  /// Fresnel grazing, reflections, proximity) and picks the stronger of
-  /// the direct and diffuse-scatter paths.
-  rf::PathTerms assemble(const PairTerms& pair, std::size_t antenna_index,
-                         const TagAddress& tag, double t_s) const;
-
   Decibel occlusion_loss(const Segment& path, const TagAddress& tag, double t_s) const;
   Decibel fresnel_blockage(const Segment& path, const TagAddress& tag, double t_s) const;
   Decibel coupling_loss(const TagAddress& tag, double t_s) const;
@@ -175,12 +116,6 @@ class PathEvaluator {
 
   const Scene& scene_;
   EvaluatorParams params_;
-  std::vector<bool> entity_static_;      ///< Per entity, from its trajectory.
-  bool scene_static_ = false;            ///< All entities static.
-  std::vector<std::size_t> tag_offset_;  ///< Flat tag index base per entity.
-  std::size_t tag_count_ = 0;
-  mutable std::vector<CacheSlot> cache_; ///< [antenna * tag_count_ + flat tag].
-  mutable PathCacheStats cache_stats_;
 };
 
 }  // namespace rfidsim::scene

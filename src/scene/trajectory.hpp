@@ -22,8 +22,8 @@ class Trajectory {
   virtual Pose pose_at(double t_s) const = 0;
   /// Polymorphic copy, so scenes can be duplicated for parallel experiments.
   virtual std::unique_ptr<Trajectory> clone() const = 0;
-  /// True iff pose_at(t) is the same for every t. Gates the PathEvaluator
-  /// static-geometry cache (DESIGN.md §sweep): an implementation may only
+  /// True iff pose_at(t) is the same for every t. Gates BatchPathEvaluator's
+  /// static-geometry cache (DESIGN.md §6): an implementation may only
   /// return true when its pose is provably time-invariant.
   virtual bool is_static() const { return false; }
 };

@@ -1,5 +1,6 @@
 // Differential oracle for the batch path kernel: BatchPathEvaluator must be
-// BIT-identical to the scalar PathEvaluator — not "close", identical. The
+// BIT-identical to the scalar PathEvaluator, the uncached reference
+// oracle — not "close", identical. The
 // batch kernel feeds PortalSimulator, whose event logs feed the Monte Carlo
 // sweeps and the fleet store, all of which are checked by byte-exact golden
 // digests; one ULP of drift in one term on one tag would cascade into a
@@ -7,12 +8,13 @@
 //
 // The suite sweeps hundreds of seeded randomized scenes — moving and static
 // entities, empty tag sets, single-pose evaluations, deliberate blockers
-// between antenna and tags, coupling neighbourhoods on and off, caches on
-// and off — and for every (antenna, tag, time) triple compares all nine
-// PathTerms fields with EXPECT_EQ (exact) plus an FNV-1a digest over the
-// raw IEEE-754 bit patterns of both streams. It must pass identically in
-// default and -DRFIDSIM_OBS=OFF builds (the kernel tallies cache stats
-// locally either way).
+// between antenna and tags, coupling neighbourhoods on and off, the batch
+// kernel's static-geometry cache on and off — and for every (antenna, tag,
+// time) triple compares all nine PathTerms fields with EXPECT_EQ (exact)
+// plus an FNV-1a digest over the raw IEEE-754 bit patterns of both streams.
+// The kernel's cache tallies are held to a counting model of its caching
+// rules. It must pass identically in default and -DRFIDSIM_OBS=OFF builds
+// (the kernel tallies cache stats locally either way).
 //
 // Reproducibility: every scene derives from a fixed default seed via
 // Rng::fork, so failures replay exactly. The weekly CI stress job varies
@@ -21,6 +23,7 @@
 // the printed seed to reproduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -220,11 +223,12 @@ EvaluatorParams random_params(Rng& rng) {
 
 // --- The differential driver -------------------------------------------
 
-/// Evaluates every (time, antenna, tag) triple of `scene` through both
-/// evaluators with matched call histories and demands bit-identity of every
-/// term, the two output digests, the reported tag positions, and the cache
-/// tallies. Returns the common digest (folded into suite-level digests so a
-/// silent all-default degenerate generator would still be caught).
+/// Evaluates every (time, antenna, tag) triple of `scene` through the batch
+/// kernel and the scalar oracle and demands bit-identity of every term, the
+/// two output digests and the reported tag positions, and that the kernel's
+/// cache tallies match the counting model. Returns the common digest
+/// (folded into suite-level digests so a silent all-default degenerate
+/// generator would still be caught).
 std::uint64_t run_differential(const Scene& scene, const EvaluatorParams& params,
                                const std::vector<double>& times,
                                std::uint64_t scene_seed) {
@@ -232,7 +236,17 @@ std::uint64_t run_differential(const Scene& scene, const EvaluatorParams& params
   BatchPathEvaluator batch(scene, params);
   const std::vector<TagAddress> tags = scene.all_tags();
   EXPECT_EQ(batch.tag_count(), tags.size());
-  EXPECT_EQ(batch.scene_static(), scalar.scene_static());
+  const bool scene_static =
+      std::all_of(scene.entities.begin(), scene.entities.end(),
+                  [](const Entity& e) { return e.is_static(); });
+  EXPECT_EQ(batch.scene_static(), scene_static);
+
+  // Counting model of the cache: each evaluate_all makes one tally per tag.
+  // It is bypassed when the cache is off or the tag's entity moves; on a
+  // static scene an (antenna, tag) slot takes a full miss and then full
+  // hits; otherwise it takes a pair miss and then pair hits.
+  PathCacheStats expected;
+  std::vector<bool> slot_seen(scene.antennas.size() * tags.size(), false);
 
   std::uint64_t batch_digest = kFnvOffset;
   std::uint64_t scalar_digest = kFnvOffset;
@@ -252,20 +266,32 @@ std::uint64_t run_differential(const Scene& scene, const EvaluatorParams& params
         EXPECT_EQ(batch.tag_positions()[i].x, expected_pos.x);
         EXPECT_EQ(batch.tag_positions()[i].y, expected_pos.y);
         EXPECT_EQ(batch.tag_positions()[i].z, expected_pos.z);
+
+        if (!params.static_geometry_cache ||
+            !scene.entities[tags[i].entity].is_static()) {
+          ++expected.bypassed;
+          continue;
+        }
+        const bool first = !slot_seen[a * tags.size() + i];
+        slot_seen[a * tags.size() + i] = true;
+        if (scene_static) {
+          ++(first ? expected.full_misses : expected.full_hits);
+        } else {
+          ++(first ? expected.pair_misses : expected.pair_hits);
+        }
       }
     }
   }
   EXPECT_EQ(batch_digest, scalar_digest) << "scene seed " << scene_seed;
 
-  // Same caching decisions => same tallies: the batch kernel must neither
-  // over-cache (risking staleness) nor under-cache (losing the speedup).
+  // The batch kernel must neither over-cache (risking staleness) nor
+  // under-cache (losing the speedup).
   const PathCacheStats& b = batch.cache_stats();
-  const PathCacheStats& s = scalar.cache_stats();
-  EXPECT_EQ(b.full_hits, s.full_hits) << "scene seed " << scene_seed;
-  EXPECT_EQ(b.full_misses, s.full_misses) << "scene seed " << scene_seed;
-  EXPECT_EQ(b.pair_hits, s.pair_hits) << "scene seed " << scene_seed;
-  EXPECT_EQ(b.pair_misses, s.pair_misses) << "scene seed " << scene_seed;
-  EXPECT_EQ(b.bypassed, s.bypassed) << "scene seed " << scene_seed;
+  EXPECT_EQ(b.full_hits, expected.full_hits) << "scene seed " << scene_seed;
+  EXPECT_EQ(b.full_misses, expected.full_misses) << "scene seed " << scene_seed;
+  EXPECT_EQ(b.pair_hits, expected.pair_hits) << "scene seed " << scene_seed;
+  EXPECT_EQ(b.pair_misses, expected.pair_misses) << "scene seed " << scene_seed;
+  EXPECT_EQ(b.bypassed, expected.bypassed) << "scene seed " << scene_seed;
   return batch_digest;
 }
 

@@ -1,9 +1,10 @@
-// Differential tests for the static-geometry cache (EvaluatorParams::
-// static_geometry_cache): a cached evaluator must return bit-identical
-// rf::PathTerms to an uncached one on every (antenna, tag, time) triple.
-// "Close enough" is not good enough here — the cache feeds the Monte Carlo
-// sweeps whose outputs are compared byte-for-byte against the serial seed
-// path, so a single ULP of drift would surface as a reliability-table diff.
+// Differential tests for the batch kernel's static-geometry cache
+// (EvaluatorParams::static_geometry_cache): a cached BatchPathEvaluator
+// must return bit-identical rf::PathTerms to an uncached one on every
+// (antenna, tag, time) triple. "Close enough" is not good enough here —
+// the cache feeds the Monte Carlo sweeps whose outputs are pinned
+// byte-for-byte by golden digests, so a single ULP of drift would surface
+// as a reliability-table diff.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "reliability/scenarios.hpp"
-#include "scene/path_evaluator.hpp"
+#include "scene/batch_evaluator.hpp"
 
 namespace rfidsim::scene {
 namespace {
@@ -42,28 +43,31 @@ void expect_identical(const rf::PathTerms& a, const rf::PathTerms& b,
 
 /// Sweeps every (antenna, tag) pair over `steps` time samples of the portal
 /// window with a cached and an uncached evaluator and demands bit-identity.
-/// Each pair is evaluated twice per time step so the second call exercises
-/// the cache-hit path, not just the fill path.
+/// Each antenna is evaluated twice per time step so the second call
+/// exercises the cache-hit path, not just the fill path.
 void run_differential(const Scenario& sc, std::size_t steps) {
   EvaluatorParams cached_params = sc.portal.evaluator;
   cached_params.static_geometry_cache = true;
   EvaluatorParams uncached_params = sc.portal.evaluator;
   uncached_params.static_geometry_cache = false;
-  const PathEvaluator cached(sc.scene, cached_params);
-  const PathEvaluator uncached(sc.scene, uncached_params);
+  BatchPathEvaluator cached(sc.scene, cached_params);
+  BatchPathEvaluator uncached(sc.scene, uncached_params);
 
   const auto tags = sc.scene.all_tags();
   const double t0 = sc.portal.start_time_s;
   const double dt =
       steps > 1 ? (sc.portal.end_time_s - t0) / static_cast<double>(steps - 1) : 0.0;
+  std::vector<rf::PathTerms> want, got;
   for (std::size_t s = 0; s < steps; ++s) {
     const double t_s = t0 + dt * static_cast<double>(s);
     for (std::size_t a = 0; a < sc.scene.antennas.size(); ++a) {
-      for (const TagAddress& tag : tags) {
-        expect_identical(uncached.evaluate(a, tag, t_s), cached.evaluate(a, tag, t_s),
-                         a, tag, t_s);
-        expect_identical(uncached.evaluate(a, tag, t_s), cached.evaluate(a, tag, t_s),
-                         a, tag, t_s);
+      for (int pass = 0; pass < 2; ++pass) {
+        uncached.evaluate_all(a, t_s, want);
+        cached.evaluate_all(a, t_s, got);
+        ASSERT_EQ(got.size(), tags.size());
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+          expect_identical(want[i], got[i], a, tags[i], t_s);
+        }
       }
     }
   }
@@ -115,27 +119,29 @@ TEST(PathCacheDifferentialTest, MixedStaticAndMovingEntities) {
 
 TEST(PathCacheDifferentialTest, SceneStaticReflectsTrajectories) {
   const Scenario static_sc = reliability::make_read_range_scenario(3.0, kCal);
-  EXPECT_TRUE(PathEvaluator(static_sc.scene, static_sc.portal.evaluator).scene_static());
+  EXPECT_TRUE(
+      BatchPathEvaluator(static_sc.scene, static_sc.portal.evaluator).scene_static());
 
   ObjectScenarioOptions opt;
   const Scenario moving_sc = reliability::make_object_tracking_scenario(opt, kCal);
   EXPECT_FALSE(
-      PathEvaluator(moving_sc.scene, moving_sc.portal.evaluator).scene_static());
+      BatchPathEvaluator(moving_sc.scene, moving_sc.portal.evaluator).scene_static());
 }
 
 TEST(PathCacheDifferentialTest, RepeatedEvaluationIsIdempotent) {
   // A cached evaluator must return the same bits on call 1, 2 and 1000 —
   // the Monte Carlo loop hits each pair thousands of times per sweep.
   const Scenario sc = reliability::make_read_range_scenario(4.0, kCal);
-  const PathEvaluator ev(sc.scene, sc.portal.evaluator);
-  const auto tags = sc.scene.all_tags();
-  ASSERT_FALSE(tags.empty());
-  const rf::PathTerms first = ev.evaluate(0, tags[0], sc.portal.start_time_s);
+  BatchPathEvaluator ev(sc.scene, sc.portal.evaluator);
+  std::vector<rf::PathTerms> terms;
+  ev.evaluate_all(0, sc.portal.start_time_s, terms);
+  ASSERT_FALSE(terms.empty());
+  const rf::PathTerms first = terms[0];
   for (int i = 0; i < 1000; ++i) {
-    const rf::PathTerms again = ev.evaluate(0, tags[0], sc.portal.start_time_s);
-    ASSERT_EQ(first.distance_m, again.distance_m);
-    ASSERT_EQ(first.material_loss, again.material_loss);
-    ASSERT_EQ(first.multipath_gain, again.multipath_gain);
+    ev.evaluate_all(0, sc.portal.start_time_s, terms);
+    ASSERT_EQ(first.distance_m, terms[0].distance_m);
+    ASSERT_EQ(first.material_loss, terms[0].material_loss);
+    ASSERT_EQ(first.multipath_gain, terms[0].multipath_gain);
   }
 }
 
