@@ -8,10 +8,6 @@
 #include "obs/metrics.hpp"
 #include "rf/material.hpp"
 
-#if defined(RFIDSIM_SIMD_ENABLED) && defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace rfidsim::scene {
 
 BatchPathEvaluator::BatchPathEvaluator(const Scene& scene, EvaluatorParams params)
@@ -112,30 +108,7 @@ void BatchPathEvaluator::compute_distance_stage(const AntennaSite& antenna) {
   const double ax = antenna.pose.position.x;
   const double ay = antenna.pose.position.y;
   const double az = antenna.pose.position.z;
-  const std::size_t n = tag_count_;
-  std::size_t i = 0;
-#if defined(RFIDSIM_SIMD_ENABLED) && defined(__SSE2__)
-  // Two lanes of the exact scalar operation sequence: every op used here
-  // (mul, add, sub, sqrt, max) is IEEE correctly rounded elementwise, so
-  // each lane produces the bit pattern the scalar tail loop would.
-  const __m128d vax = _mm_set1_pd(ax);
-  const __m128d vay = _mm_set1_pd(ay);
-  const __m128d vaz = _mm_set1_pd(az);
-  const __m128d vmin = _mm_set1_pd(0.01);
-  for (; i + 2 <= n; i += 2) {
-    const __m128d x = _mm_sub_pd(vax, _mm_loadu_pd(&px_[i]));
-    const __m128d y = _mm_sub_pd(vay, _mm_loadu_pd(&py_[i]));
-    const __m128d z = _mm_sub_pd(vaz, _mm_loadu_pd(&pz_[i]));
-    _mm_storeu_pd(&dx_[i], x);
-    _mm_storeu_pd(&dy_[i], y);
-    _mm_storeu_pd(&dz_[i], z);
-    // Vec3::norm association: (x*x + y*y) + z*z.
-    const __m128d n2 = _mm_add_pd(
-        _mm_add_pd(_mm_mul_pd(x, x), _mm_mul_pd(y, y)), _mm_mul_pd(z, z));
-    _mm_storeu_pd(&dist_[i], _mm_max_pd(_mm_sqrt_pd(n2), vmin));
-  }
-#endif
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < tag_count_; ++i) {
     const double x = ax - px_[i];
     const double y = ay - py_[i];
     const double z = az - pz_[i];
