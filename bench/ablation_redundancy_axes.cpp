@@ -23,7 +23,6 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -65,13 +64,6 @@ struct Population {
   }
 };
 
-struct SimRecord {
-  std::string name;
-  double sim_s = 0.0;
-  std::size_t cells = 0;
-  std::string note;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,7 +75,7 @@ int main(int argc, char** argv) {
       "the analytical independence model R_C = 1 - prod(1 - P_i).");
   const CalibrationProfile cal = bench::profile();
   bool gates_ok = true;
-  std::vector<SimRecord> records;
+  std::vector<bench::Entry> records;  ///< wall_s holds simulated seconds.
 
   // ------------------------------------------------------------------ [1]
   // The three axes head to head on the object-tracking portal: same rig,
@@ -189,7 +181,7 @@ int main(int argc, char** argv) {
       t.add_row({"K=" + std::to_string(k), rates_str, percent(measured),
                  percent(analytical), percent(delta), pass_ok ? "ok" : "DRIFT"});
       records.push_back({"redundancy_sessions_k" + std::to_string(k),
-                         sim_seconds / kPasses, kTags * kPasses,
+                         sim_seconds / kPasses, kTags * kPasses, "", 0.0,
                          "mean simulated sweep seconds/pass, " +
                              std::to_string(k) + " session(s), 40 lossy tags"});
     }
@@ -321,7 +313,7 @@ int main(int argc, char** argv) {
                  std::to_string(q_closed), std::to_string(best_q), tp_buf,
                  q_ok ? "ok" : "OFF-BY->1"});
       records.push_back({"redundancy_mpr_m" + std::to_string(m),
-                         round_s_at_closed, kPopulation * kRepeats,
+                         round_s_at_closed, kPopulation * kRepeats, "", 0.0,
                          "mean simulated seconds for one frozen-Q round over "
                          "64 tags at the closed-form Q*, M=" +
                              std::to_string(m)});
@@ -333,20 +325,8 @@ int main(int argc, char** argv) {
   // Optional rfidsim-bench-v1 record (simulated-time walls; deterministic).
   if (!session.positional().empty()) {
     const std::string& path = session.positional().front();
-    std::ofstream out(path);
-    out << "{\n  \"schema\": \"rfidsim-bench-v1\",\n  \"pr\": 10,\n"
-        << "  \"redundancy_gates_ok\": " << (gates_ok ? "true" : "false")
-        << ",\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      char line[384];
-      std::snprintf(line, sizeof line,
-                    "    {\"name\": \"%s\", \"wall_s\": %.6f, \"cells\": %zu, "
-                    "\"note\": \"%s\"}%s\n",
-                    records[i].name.c_str(), records[i].sim_s, records[i].cells,
-                    records[i].note.c_str(), i + 1 < records.size() ? "," : "");
-      out << line;
-    }
-    out << "  ]\n}\n";
+    bench::write_json(path, 10, {{"redundancy_gates_ok", bench::json_bool(gates_ok)}},
+                      records);
     std::printf("wrote redundancy record to %s\n", path.c_str());
   }
 

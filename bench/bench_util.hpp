@@ -1,11 +1,14 @@
 // Shared plumbing for the paper-reproduction benches.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -48,6 +51,75 @@ inline std::string pct_ci(double estimate, std::size_t successes, std::size_t tr
 /// every bench prints its results (was a copy-pasted fputs per table).
 inline void print_table(const TextTable& table) {
   std::fputs(table.render().c_str(), stdout);
+}
+
+/// Wall-clock seconds taken by one call of `fn`.
+inline double wall_seconds(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// One benchmark of an rfidsim-bench-v1 record (schema in EXPERIMENTS.md).
+struct Entry {
+  std::string name;
+  double wall_s = 0.0;
+  std::size_t cells = 0;  ///< Unit count (evaluations, rounds, passes).
+  std::string baseline;   ///< Entry this one's speedup is relative to.
+  double speedup = 0.0;   ///< 0 when the entry IS a baseline.
+  std::string note;
+};
+
+/// Escapes `"` and `\` for a JSON string literal.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// JSON literal of a verdict flag.
+inline std::string json_bool(bool value) { return value ? "true" : "false"; }
+
+/// Writes an rfidsim-bench-v1 record to `path`: the schema tag, `pr`, the
+/// bench's own top-level fields in order — each a key and its value already
+/// rendered as JSON — then the benchmarks array. Returns false, with a
+/// message on stderr, when the file cannot be written.
+inline bool write_json(const std::string& path, int pr,
+                       const std::vector<std::pair<std::string, std::string>>& fields,
+                       const std::vector<Entry>& entries) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "bench: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"schema\": \"rfidsim-bench-v1\",\n");
+  std::fprintf(f, "  \"pr\": %d,\n", pr);
+  for (const auto& [key, value] : fields) {
+    std::fprintf(f, "  \"%s\": %s,\n", key.c_str(), value.c_str());
+  }
+  std::fprintf(f, "  \"benchmarks\": [\n");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    std::fprintf(f, "    {\"name\": \"%s\", \"wall_s\": %.6f, \"cells\": %zu",
+                 json_escape(e.name).c_str(), e.wall_s, e.cells);
+    if (!e.baseline.empty()) {
+      std::fprintf(f, ", \"baseline\": \"%s\", \"speedup\": %.3f",
+                   json_escape(e.baseline).c_str(), e.speedup);
+    }
+    if (!e.note.empty()) std::fprintf(f, ", \"note\": \"%s\"", json_escape(e.note).c_str());
+    std::fprintf(f, "}%s\n", i + 1 < entries.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "bench: could not write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 /// Per-binary harness: parses the flags every bench shares and, at end of

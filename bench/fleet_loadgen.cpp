@@ -39,11 +39,9 @@
 // re-delivered whole (duplicates) and ~10% arrive after their pass window
 // (late timeline repairs) — so the timed path is the defended path.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,15 +63,10 @@
 #include "wire/wire.hpp"
 
 using namespace rfidsim;
+using bench::Entry;
+using bench::wall_seconds;
 
 namespace {
-
-double wall_seconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 /// High-water resident set of this process, in bytes (0 if unknown).
 std::uint64_t peak_rss_bytes() {
@@ -88,66 +81,6 @@ std::uint64_t peak_rss_bytes() {
 #else
   return 0;
 #endif
-}
-
-struct Entry {
-  std::string name;
-  double wall_s = 0.0;
-  std::size_t cells = 0;
-  std::string baseline;
-  double speedup = 0.0;
-  std::string note;
-};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void write_json(const char* path, const std::vector<Entry>& entries,
-                bool fleet_digest_matches, bool crash_recovery_matches,
-                bool flight_recorder_ok, std::uint64_t wire_undetected,
-                double wire_min_recovered) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fleet_loadgen: cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"rfidsim-bench-v1\",\n");
-  std::fprintf(f, "  \"pr\": 9,\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-               static_cast<unsigned long long>(peak_rss_bytes()));
-  std::fprintf(f, "  \"fleet_digest_matches\": %s,\n",
-               fleet_digest_matches ? "true" : "false");
-  std::fprintf(f, "  \"crash_recovery_matches\": %s,\n",
-               crash_recovery_matches ? "true" : "false");
-  std::fprintf(f, "  \"flight_recorder_ok\": %s,\n",
-               flight_recorder_ok ? "true" : "false");
-  std::fprintf(f, "  \"wire_undetected_corruptions\": %llu,\n",
-               static_cast<unsigned long long>(wire_undetected));
-  std::fprintf(f, "  \"wire_min_recovered_fraction\": %.6f,\n",
-               wire_min_recovered);
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"wall_s\": %.6f, \"cells\": %zu",
-                 json_escape(e.name).c_str(), e.wall_s, e.cells);
-    if (!e.baseline.empty()) {
-      std::fprintf(f, ", \"baseline\": \"%s\", \"speedup\": %.3f",
-                   json_escape(e.baseline).c_str(), e.speedup);
-    }
-    if (!e.note.empty()) std::fprintf(f, ", \"note\": \"%s\"", json_escape(e.note).c_str());
-    std::fprintf(f, "}%s\n", i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 // Workload shape: 4 facilities x 25 passes x 50 batches x 1000 events
@@ -824,8 +757,16 @@ int main(int argc, char** argv) {
   bench::print_table(t);
   std::printf("peak RSS: %s\n", human_bytes(peak_rss_bytes()).c_str());
 
-  write_json(out_path, entries, fleet_digest_matches, crash_recovery_matches,
-             flight_recorder_ok, wire_undetected, wire_min_recovered);
+  bench::write_json(
+      out_path, 9,
+      {{"hardware_concurrency", std::to_string(std::thread::hardware_concurrency())},
+       {"peak_rss_bytes", std::to_string(peak_rss_bytes())},
+       {"fleet_digest_matches", bench::json_bool(fleet_digest_matches)},
+       {"crash_recovery_matches", bench::json_bool(crash_recovery_matches)},
+       {"flight_recorder_ok", bench::json_bool(flight_recorder_ok)},
+       {"wire_undetected_corruptions", std::to_string(wire_undetected)},
+       {"wire_min_recovered_fraction", std::to_string(wire_min_recovered)}},
+      entries);
   std::printf("\nwrote %s\n", out_path);
   return fleet_digest_matches && crash_recovery_matches && flight_recorder_ok &&
                  wire_gates_pass
