@@ -164,9 +164,6 @@ void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
   // Phase markers sit on this orchestrating thread: parallel_for blocks
   // until its cells drain, so the route/merge self-times are the phases'
   // wall-clock spans and the call counts stay thread-count-independent.
-  // Phase markers sit on this orchestrating thread: parallel_for blocks
-  // until its cells drain, so the route/merge self-times are the phases'
-  // wall-clock spans and the call counts stay thread-count-independent.
   std::optional<obs::prof::ScopedPhase> phase;
   phase.emplace(obs::prof::Phase::kStoreRoute);
   sweep::parallel_for(batches.size(), options, [&](std::size_t b) {
