@@ -20,6 +20,7 @@
 #ifdef RFIDSIM_PROF_HAS_TIMERS
 #include <errno.h>
 #include <execinfo.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -65,6 +66,7 @@ struct ThreadEntry {
   std::atomic<std::uint32_t> lane{kNoLane};
   std::atomic<bool> alive{true};
   pid_t tid = 0;
+  pthread_t thread{};  ///< Names the thread's CPU-time clock for its timer.
   timer_t timer{};
   bool timer_armed = false;  ///< Guarded by EntryRegistry::mutex.
 };
@@ -127,16 +129,22 @@ void ensure_ring_locked(ThreadEntry& entry) {
   entry.ring.store(entry.holder.get(), std::memory_order_release);
 }
 
-/// Arms one thread's CPU-time timer. Caller holds EntryRegistry::mutex.
+/// Arms one thread's CPU-time timer. Caller holds EntryRegistry::mutex,
+/// which also keeps `entry.thread` valid: a thread clears `alive` under it
+/// before it exits. The clock must be the entry's own —
+/// CLOCK_THREAD_CPUTIME_ID names the calling thread's, and start() arms
+/// every already-registered thread from its own.
 void arm_timer_locked(ThreadEntry& entry) {
   if (entry.timer_armed || !entry.alive.load(std::memory_order_relaxed)) return;
+  clockid_t clock{};
+  if (pthread_getcpuclockid(entry.thread, &clock) != 0) return;
   ensure_ring_locked(entry);
   struct sigevent sev;
   std::memset(&sev, 0, sizeof sev);
   sev.sigev_notify = SIGEV_THREAD_ID;
   sev.sigev_signo = SIGPROF;
   sev.sigev_notify_thread_id = entry.tid;
-  if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &entry.timer) != 0) return;
+  if (timer_create(clock, &sev, &entry.timer) != 0) return;
   const long interval_ns =
       static_cast<long>(g_interval_usec.load(std::memory_order_relaxed)) * 1000L;
   itimerspec spec{};
@@ -264,6 +272,7 @@ void register_thread(std::uint32_t lane) {
   }
   auto entry = std::make_shared<ThreadEntry>();
   entry->tid = static_cast<pid_t>(::syscall(SYS_gettid));
+  entry->thread = pthread_self();
   entry->lane.store(lane, std::memory_order_relaxed);
   std::lock_guard lock(entry_registry().mutex);
   entry_registry().entries.push_back(entry);

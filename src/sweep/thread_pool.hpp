@@ -33,6 +33,7 @@ class ThreadPool {
   static constexpr std::size_t kNotALane = static_cast<std::size_t>(-1);
 
   /// Starts `threads` workers; 0 means the hardware concurrency (min 1).
+  /// Returns once every worker has started and registered its lane.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding work, then stops and joins the workers.
@@ -73,6 +74,7 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;  ///< Queued + currently executing tasks.
+  std::size_t started_ = 0;    ///< Workers past their start-up registration.
   bool stopping_ = false;
 };
 
