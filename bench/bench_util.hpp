@@ -71,16 +71,6 @@ struct Entry {
   std::string note;
 };
 
-/// Escapes `"` and `\` for a JSON string literal.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// JSON literal of a verdict flag.
 inline std::string json_bool(bool value) { return value ? "true" : "false"; }
 
@@ -103,6 +93,11 @@ inline bool write_json(const std::string& path, int pr,
     std::fprintf(f, "  \"%s\": %s,\n", key.c_str(), value.c_str());
   }
   std::fprintf(f, "  \"benchmarks\": [\n");
+  const auto json_escape = [](const std::string& s) {
+    std::string out;
+    obs::append_json_escaped(out, s);
+    return out;
+  };
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f, "    {\"name\": \"%s\", \"wall_s\": %.6f, \"cells\": %zu",
@@ -137,8 +132,9 @@ inline bool write_json(const std::string& path, int pr,
 ///                          writes there for the whole bench run).
 ///   --provenance-dump <path>  JSON-lines per-batch provenance records
 ///                          (obs::provenance_log()).
-///   --flight-dump <path>   Flight-recorder ring dump (JSON lines), written
-///                          atomically at end of run.
+///   --flight-dump <path>   Flight-recorder dump (JSON lines: the tail of
+///                          the provenance log), written atomically at end
+///                          of run.
 ///   --profile-dump <path>  Folded-stack sampling-profiler dump
 ///                          (flamegraph.pl input). Starts the SIGPROF
 ///                          sampler for the whole run; Linux-only (the
@@ -288,8 +284,8 @@ class Session {
         std::printf("wrote flight-recorder dump to %s (%llu records, %llu "
                     "ring-dropped)\n",
                     flight_path_.c_str(),
-                    static_cast<unsigned long long>(obs::flight_recorded()),
-                    static_cast<unsigned long long>(obs::flight_dropped()));
+                    static_cast<unsigned long long>(obs::provenance_log().recorded()),
+                    static_cast<unsigned long long>(obs::provenance_log().dropped()));
       } else {
         std::fprintf(stderr, "bench: could not write flight dump to %s\n",
                      flight_path_.c_str());

@@ -39,9 +39,9 @@
 // re-delivered whole (duplicates) and ~10% arrive after their pass window
 // (late timeline repairs) — so the timed path is the defended path.
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +51,7 @@
 #endif
 
 #include "bench_util.hpp"
+#include "common/hash.hpp"
 #include "common/table.hpp"
 #include "fault/wire_corruptor.hpp"
 #include "fleet/checkpoint.hpp"
@@ -139,23 +140,6 @@ std::vector<fleet::FacilityBatch> generate_batches(std::uint64_t seed) {
   return batches;
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffULL;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
-
 /// Digest over a deterministic sample of query answers: locate over every
 /// 37th tag at three probe times, plus one manifest reconciliation. Must
 /// be bit-identical across every store configuration.
@@ -167,15 +151,15 @@ std::uint64_t query_digest(const fleet::TrackingStore& store,
   model.reader_live = {true, true, true};
   for (std::uint32_t f = 0; f < kFacilities; ++f) query.set_facility_model(f, model);
 
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kFnvBasis;
   const double horizon = static_cast<double>(kPasses) * kPassWindowS;
   for (std::uint64_t tag = 1; tag <= kTagCount; tag += 37) {
     for (const double t : {horizon * 0.25, horizon * 0.5, horizon}) {
       const fleet::LocateResult r = query.locate(scene::TagId{tag}, t);
       hash = fnv1a(hash, r.found ? 1 : 0);
       hash = fnv1a(hash, r.facility);
-      hash = fnv1a(hash, bits_of(r.time_s));
-      hash = fnv1a(hash, bits_of(r.confidence));
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(r.time_s));
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(r.confidence));
     }
   }
   track::Manifest manifest;
@@ -191,7 +175,7 @@ std::uint64_t query_digest(const fleet::TrackingStore& store,
   for (const fleet::Reconciliation& item : report.items) {
     hash = fnv1a(hash, item.object.value);
     hash = fnv1a(hash, static_cast<std::uint64_t>(item.verdict));
-    hash = fnv1a(hash, bits_of(item.posterior_present));
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(item.posterior_present));
   }
   return hash;
 }
@@ -250,14 +234,14 @@ std::uint64_t reference_digest(const std::vector<fleet::FacilityBatch>& batches)
     std::fprintf(stderr, "fleet_loadgen: cannot write checkpoint to %s\n", path);
     std::_Exit(3);
   }
-  // The flight recorder is the crash's black box: dump the rings (the tail
-  // is the checkpoint's own provenance record) before dying. _Exit runs no
+  // The flight recorder is the crash's black box: dump the provenance tail
+  // (its newest record is the checkpoint's own) before dying. _Exit runs no
   // handlers, so this explicit dump is the only one the "crash" leaves.
   const std::string flight_path = std::string(path) + ".flight.jsonl";
   if (obs::dump_flight_recorder(flight_path)) {
     std::printf("crash-after-half: flight-recorder dump -> %s (%llu records)\n",
                 flight_path.c_str(),
-                static_cast<unsigned long long>(obs::flight_recorded()));
+                static_cast<unsigned long long>(obs::provenance_log().recorded()));
   } else {
     std::fprintf(stderr, "fleet_loadgen: cannot write flight dump to %s\n",
                  flight_path.c_str());
@@ -305,7 +289,7 @@ int restore_from(const std::vector<fleet::FacilityBatch>& batches, const char* p
 
 int main(int argc, char** argv) {
   const bench::Session session(argc, argv);
-  // A real crash (SIGSEGV/SIGABRT/...) dumps the flight rings here before
+  // A real crash (SIGSEGV/SIGABRT/...) dumps the provenance tail here before
   // the default handler takes over — the bench run's black box.
   obs::install_crash_handler("fleet_loadgen.crash.flight.jsonl");
   const char* out_path = "BENCH_FLEET.json";
@@ -585,8 +569,8 @@ int main(int argc, char** argv) {
     std::printf("flight recorder: dump %s (%llu records, %llu dropped); last "
                 "checkpoint hop seq %lld vs matrix seq %llu: %s\n\n",
                 flight_path,
-                static_cast<unsigned long long>(obs::flight_recorded()),
-                static_cast<unsigned long long>(obs::flight_dropped()),
+                static_cast<unsigned long long>(obs::provenance_log().recorded()),
+                static_cast<unsigned long long>(obs::provenance_log().dropped()),
                 last_checkpoint == nullptr
                     ? -1LL
                     : static_cast<long long>(last_checkpoint->value),

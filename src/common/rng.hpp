@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <random>
 
+#include "common/hash.hpp"
+
 namespace rfidsim {
 
 /// Seeded pseudo-random source. Not thread-safe; fork() one per worker.
@@ -59,10 +61,7 @@ class Rng {
   /// function of (parent seed, label), so forking is order-independent.
   Rng fork(std::uint64_t label) const {
     // SplitMix64 finalizer mixes seed and label into a well-spread child seed.
-    std::uint64_t z = seed_ + 0x9e3779b97f4a7c15ULL * (label + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return Rng(z ^ (z >> 31));
+    return Rng(splitmix64(seed_ + 0x9e3779b97f4a7c15ULL * (label + 1)));
   }
 
  private:

@@ -1,14 +1,14 @@
 #include "fleet/checkpoint.hpp"
 
-#include <cstring>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 
 namespace rfidsim::fleet {
 
@@ -18,18 +18,6 @@ namespace {
 /// configuration — a defence against a forged length driving a giant
 /// allocation before the digest check can catch it.
 constexpr std::uint64_t kMaxShardCount = 1u << 16;
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
-
-double double_of(std::uint64_t u) {
-  double x = 0.0;
-  std::memcpy(&x, &u, sizeof x);
-  return x;
-}
 
 void put_stats(std::vector<std::uint8_t>& out, const StoreStats& s) {
   wire::put_varint(out, s.batches);
@@ -79,7 +67,7 @@ std::vector<std::uint8_t> Checkpointer::incremental(const TrackingStore& store) 
 
 std::vector<std::uint8_t> Checkpointer::write(const TrackingStore& store,
                                               bool incremental) {
-  const obs::TraceSpan span("fleet.checkpoint.write");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kCheckpointWrite);
   const std::size_t shard_count = store.config().shard_count;
   CheckpointStats st;
   st.incremental = incremental;
@@ -125,7 +113,7 @@ std::vector<std::uint8_t> Checkpointer::write(const TrackingStore& store,
       // trick): lossless, and time-sorted timelines keep deltas compact.
       std::uint64_t prev_bits = 0;
       for (const Sighting& x : tl) {
-        const std::uint64_t bits = bits_of(x.time_s);
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(x.time_s);
         wire::put_varint_signed(body,
                                 static_cast<std::int64_t>(bits - prev_bits));
         prev_bits = bits;
@@ -175,7 +163,7 @@ TrackingStore restore_checkpoint(const std::vector<std::uint8_t>& bytes,
 
 TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
                                  std::size_t threads) {
-  const obs::TraceSpan span("fleet.checkpoint.restore");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kCheckpointRestore);
   std::optional<TrackingStore> store;  // Scratch: discarded on any throw.
   std::size_t shard_count = 0;
   bool in_snapshot = false;
@@ -303,7 +291,7 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
             const std::uint64_t bits =
                 prev_bits + static_cast<std::uint64_t>(dbits);
             prev_bits = bits;
-            tl.push_back(Sighting{double_of(bits),
+            tl.push_back(Sighting{std::bit_cast<double>(bits),
                                   static_cast<FacilityId>(facility),
                                   static_cast<std::uint32_t>(reader),
                                   static_cast<std::uint32_t>(antenna)});

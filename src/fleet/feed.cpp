@@ -7,9 +7,9 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 
 namespace rfidsim::fleet {
 
@@ -108,7 +108,7 @@ FacilityFeed::FacilityFeed(FeedConfig config)
 FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
                                           double window_begin_s,
                                           double window_end_s, Rng& rng) {
-  const obs::TraceSpan span("fleet.feed.pass");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kFeedPass);
   require(window_end_s >= window_begin_s, "FacilityFeed: inverted pass window");
 
   FeedPassResult result;

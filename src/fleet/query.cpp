@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace rfidsim::fleet {
 
@@ -173,7 +173,7 @@ MissingReport QueryService::missing(const track::Manifest& manifest,
                                     FacilityId facility, double window_begin_s,
                                     double window_end_s) const {
   const LatencyTimer timer(query_metrics().reconciliations);
-  const obs::TraceSpan span("fleet.query.missing");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryMissing);
   require(window_end_s >= window_begin_s, "QueryService: inverted pass window");
 
   MissingReport report;

@@ -1,45 +1,19 @@
 #include "fleet/store.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <optional>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
 
 namespace rfidsim::fleet {
 
 namespace {
-
-/// SplitMix64 finalizer: spreads EPCs across shards independently of how
-/// the simulation allocated them (sequential ids would otherwise pile
-/// consecutive tags into the same shard).
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffULL;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
 
 /// Sightings travel through the routing phase paired with their EPC (the
 /// timeline key carries the EPC once stored, so Sighting itself omits it).
@@ -63,7 +37,9 @@ TrackingStore::TrackingStore(StoreConfig config) : config_(config) {
 }
 
 std::size_t TrackingStore::shard_of(scene::TagId tag) const {
-  return static_cast<std::size_t>(mix(tag.value) % config_.shard_count);
+  // Mixed, so shards fill independently of how the simulation allocated
+  // ids (sequential ids would otherwise pile consecutive tags into one).
+  return static_cast<std::size_t>(splitmix64(tag.value) % config_.shard_count);
 }
 
 namespace {
@@ -74,7 +50,7 @@ void TrackingStore::rehash(Shard& shard, std::size_t capacity) const {
   shard.index.assign(capacity, 0);
   const std::size_t mask = capacity - 1;
   for (std::size_t slot = 0; slot < shard.epcs.size(); ++slot) {
-    std::size_t h = static_cast<std::size_t>(mix(shard.epcs[slot])) & mask;
+    std::size_t h = static_cast<std::size_t>(splitmix64(shard.epcs[slot])) & mask;
     while (shard.index[h] != 0) h = (h + 1) & mask;
     shard.index[h] = static_cast<std::uint32_t>(slot + 1);
   }
@@ -83,7 +59,7 @@ void TrackingStore::rehash(Shard& shard, std::size_t capacity) const {
 std::size_t TrackingStore::find_slot(const Shard& shard, std::uint64_t epc) const {
   if (shard.index.empty()) return kNoSlot;
   const std::size_t mask = shard.index.size() - 1;
-  std::size_t h = static_cast<std::size_t>(mix(epc)) & mask;
+  std::size_t h = static_cast<std::size_t>(splitmix64(epc)) & mask;
   while (true) {
     const std::uint32_t entry = shard.index[h];
     if (entry == 0) return kNoSlot;
@@ -98,7 +74,7 @@ std::size_t TrackingStore::find_or_create(Shard& shard, std::uint64_t epc) const
     rehash(shard, std::max<std::size_t>(16, shard.index.size() * 2));
   }
   const std::size_t mask = shard.index.size() - 1;
-  std::size_t h = static_cast<std::size_t>(mix(epc)) & mask;
+  std::size_t h = static_cast<std::size_t>(splitmix64(epc)) & mask;
   while (true) {
     const std::uint32_t entry = shard.index[h];
     if (entry == 0) break;
@@ -144,7 +120,7 @@ void TrackingStore::ingest(const FacilityBatch& batch) {
 }
 
 void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
-  const obs::TraceSpan span("fleet.store.ingest");
+  const obs::prof::ScopedPhase ingest_phase(obs::prof::Phase::kStoreIngest);
   const std::size_t shard_count = config_.shard_count;
   const sweep::SweepOptions options{config_.threads};
   const StoreStats before = stats_;
@@ -173,8 +149,8 @@ void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
     std::vector<std::uint32_t> shard_of_event(n);
     rb.offsets.assign(shard_count + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto shard =
-          static_cast<std::uint32_t>(mix(batch.events[i].tag.value) % shard_count);
+      const auto shard = static_cast<std::uint32_t>(
+          splitmix64(batch.events[i].tag.value) % shard_count);
       shard_of_event[i] = shard;
       ++rb.offsets[shard + 1];
     }
@@ -338,12 +314,12 @@ std::uint64_t TrackingStore::digest() const {
   }
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kFnvBasis;
   for (const auto& [epc, tl] : all) {
     hash = fnv1a(hash, epc);
     hash = fnv1a(hash, tl->size());
     for (const Sighting& s : *tl) {
-      hash = fnv1a(hash, bits_of(s.time_s));
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(s.time_s));
       hash = fnv1a(hash, (static_cast<std::uint64_t>(s.facility) << 32) |
                              (static_cast<std::uint64_t>(s.reader) << 16) | s.antenna);
     }

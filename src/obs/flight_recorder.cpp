@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <memory>
-#include <mutex>
 #include <ostream>
 
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RFIDSIM_FLIGHT_HAS_SIGNALS 1
@@ -21,73 +18,6 @@
 namespace rfidsim::obs {
 
 namespace {
-
-/// One thread's record ring — the TraceSpan ThreadRing pattern. The writer
-/// thread and exporters synchronise on the ring's own mutex; the signal
-/// handler only ever try-locks it.
-struct FlightRing {
-  std::mutex mutex;
-  std::vector<FlightRecord> slots{std::vector<FlightRecord>(kFlightRingCapacity)};
-  std::uint64_t written = 0;  ///< Monotonic; slot index is written % capacity.
-  std::uint32_t tid = 0;
-
-  /// Returns true when the push overwrote a retained record (ring wrap).
-  bool push(const FlightRecord& rec) {
-    std::lock_guard lock(mutex);
-    const bool dropped = written >= kFlightRingCapacity;
-    slots[written % kFlightRingCapacity] = rec;
-    ++written;
-    return dropped;
-  }
-
-  void snapshot(std::vector<FlightRecord>& out) {
-    std::lock_guard lock(mutex);
-    const std::uint64_t kept = std::min<std::uint64_t>(written, kFlightRingCapacity);
-    for (std::uint64_t i = written - kept; i < written; ++i) {
-      out.push_back(slots[i % kFlightRingCapacity]);
-    }
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex);
-    written = 0;
-  }
-};
-
-struct FlightRecorder {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<FlightRing>> rings;
-
-  std::shared_ptr<FlightRing> register_thread() {
-    auto ring = std::make_shared<FlightRing>();
-    std::lock_guard lock(mutex);
-    ring->tid = static_cast<std::uint32_t>(rings.size());
-    rings.push_back(ring);
-    return ring;
-  }
-
-  std::vector<std::shared_ptr<FlightRing>> all() {
-    std::lock_guard lock(mutex);
-    return rings;
-  }
-};
-
-FlightRecorder& flight_recorder() {
-  static FlightRecorder instance;
-  return instance;
-}
-
-FlightRing& flight_ring() {
-  thread_local std::shared_ptr<FlightRing> ring =
-      flight_recorder().register_thread();
-  return *ring;
-}
-
-/// Global order stamp and tallies. Atomics so the signal handler can read
-/// them without taking any lock.
-std::atomic<std::uint64_t> g_seq{0};
-std::atomic<std::uint64_t> g_recorded{0};
-std::atomic<std::uint64_t> g_dropped{0};
 
 // --- async-signal-safe formatting ------------------------------------
 //
@@ -130,94 +60,75 @@ std::size_t put_seconds(char* buf, std::size_t cap, std::size_t at, double t) {
   return at;
 }
 
-/// One record as a JSONL line (newline included). Categories and event
-/// names are our own static literals: no JSON escaping needed.
-std::size_t format_record(char* buf, std::size_t cap, const FlightRecord& rec) {
+/// One provenance record as a JSONL line (newline included). `seq` is its
+/// position in the provenance stream; hop names are our own static
+/// literals, so no JSON escaping is needed.
+std::size_t format_record(char* buf, std::size_t cap, std::uint64_t seq,
+                          const ProvenanceRecord& rec) {
   std::size_t at = 0;
   at = put_str(buf, cap, at, "{\"seq\":");
-  at = put_u64(buf, cap, at, rec.seq);
-  at = put_str(buf, cap, at, ",\"wall_ns\":");
-  at = put_u64(buf, cap, at, rec.wall_ns);
-  at = put_str(buf, cap, at, ",\"cat\":\"");
-  at = put_str(buf, cap, at, rec.category);
-  at = put_str(buf, cap, at, "\",\"event\":\"");
-  at = put_str(buf, cap, at, rec.event);
+  at = put_u64(buf, cap, at, seq);
+  at = put_str(buf, cap, at, ",\"cat\":\"provenance\",\"event\":\"");
+  at = put_str(buf, cap, at, batch_hop_name(rec.hop));
   at = put_str(buf, cap, at, "\",\"a\":");
-  at = put_u64(buf, cap, at, rec.a);
+  at = put_u64(buf, cap, at, rec.batch_id);
   at = put_str(buf, cap, at, ",\"b\":");
-  at = put_u64(buf, cap, at, rec.b);
+  at = put_u64(buf, cap, at, rec.value);
   at = put_str(buf, cap, at, ",\"c\":");
-  at = put_u64(buf, cap, at, rec.c);
+  at = put_u64(buf, cap, at, rec.facility);
   at = put_str(buf, cap, at, ",\"t_s\":");
   at = put_seconds(buf, cap, at, rec.time_s);
-  at = put_str(buf, cap, at, ",\"tid\":");
-  at = put_u64(buf, cap, at, rec.tid);
   at = put_str(buf, cap, at, "}\n");
   return at;
 }
 
-std::size_t format_meta(char* buf, std::size_t cap, const char* reason) {
+std::size_t format_meta(char* buf, std::size_t cap, const char* reason,
+                        const Ring<ProvenanceRecord>& ring) {
   std::size_t at = 0;
   at = put_str(buf, cap, at, "{\"flight_recorder\":\"rfidsim\",\"reason\":\"");
   at = put_str(buf, cap, at, reason);
   at = put_str(buf, cap, at, "\",\"recorded\":");
-  at = put_u64(buf, cap, at, g_recorded.load(std::memory_order_relaxed));
+  at = put_u64(buf, cap, at, ring.written());
   at = put_str(buf, cap, at, ",\"dropped\":");
-  at = put_u64(buf, cap, at, g_dropped.load(std::memory_order_relaxed));
+  at = put_u64(buf, cap, at, ring.dropped());
   at = put_str(buf, cap, at, "}\n");
   return at;
 }
 
 constexpr std::size_t kLineCap = 512;
 
-}  // namespace
-
-void flight_record(const char* category, const char* event, std::uint64_t a,
-                   std::uint64_t b, std::uint64_t c, double time_s) {
-  if (!hooks_enabled()) return;
-  FlightRing& ring = flight_ring();
-  FlightRecord rec;
-  rec.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
-  rec.wall_ns = trace_now_ns();
-  rec.category = category;
-  rec.event = event;
-  rec.a = a;
-  rec.b = b;
-  rec.c = c;
-  rec.time_s = time_s;
-  rec.tid = ring.tid;
-  g_recorded.fetch_add(1, std::memory_order_relaxed);
-  if (ring.push(rec)) g_dropped.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<FlightRecord> flight_snapshot() {
-  std::vector<FlightRecord> out;
-  for (const auto& ring : flight_recorder().all()) ring->snapshot(out);
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& x, const FlightRecord& y) { return x.seq < y.seq; });
-  return out;
-}
-
-std::uint64_t flight_recorded() {
-  return g_recorded.load(std::memory_order_relaxed);
-}
-
-std::uint64_t flight_dropped() {
-  return g_dropped.load(std::memory_order_relaxed);
-}
-
-void write_flight_dump(std::ostream& out, const char* reason) {
-  char line[kLineCap];
-  out.write(line, static_cast<std::streamsize>(format_meta(line, kLineCap, reason)));
-  for (const FlightRecord& rec : flight_snapshot()) {
-    out.write(line, static_cast<std::streamsize>(format_record(line, kLineCap, rec)));
+/// Hands the dump to `emit(line, length)` one line at a time: the meta
+/// line, then the newest kFlightDumpRecords provenance records, oldest
+/// first. In signal context a busy ring is skipped (meta line only).
+template <typename Emit>
+void emit_dump(const char* reason, bool signal_context, Emit&& emit) {
+  const Ring<ProvenanceRecord>& ring = provenance_log().ring();
+  bool held = true;
+  if (signal_context) {
+    held = ring.try_lock();
+  } else {
+    ring.lock();
   }
+  char line[kLineCap];
+  emit(line, format_meta(line, kLineCap, reason, ring));
+  if (!held) return;
+  const std::uint64_t end = ring.written();
+  for (std::uint64_t seq = ring.first(kFlightDumpRecords); seq < end; ++seq) {
+    emit(line, format_record(line, kLineCap, seq, ring.at(seq)));
+  }
+  ring.unlock();
 }
 
-namespace {
 std::atomic<std::uint64_t> g_dump_attempts{0};
 std::atomic<std::uint64_t> g_dump_failures{0};
+
 }  // namespace
+
+void write_flight_dump(std::ostream& out, const char* reason) {
+  emit_dump(reason, false, [&out](const char* line, std::size_t n) {
+    out.write(line, static_cast<std::streamsize>(n));
+  });
+}
 
 std::uint64_t flight_dump_attempts() {
   return g_dump_attempts.load(std::memory_order_relaxed);
@@ -229,25 +140,10 @@ std::uint64_t flight_dump_failures() {
 
 bool dump_flight_recorder(const std::string& path) {
   g_dump_attempts.fetch_add(1, std::memory_order_relaxed);
-  const auto fail = [] {
-    g_dump_failures.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  };
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail();
-    write_flight_dump(out);
-    if (!out) return fail();
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return fail();
-  return true;
-}
-
-void clear_flight_recorder() {
-  for (const auto& ring : flight_recorder().all()) ring->clear();
-  g_recorded.store(0, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
+  const bool ok = write_file_atomically(
+      path, [](std::ostream& out) { write_flight_dump(out); });
+  if (!ok) g_dump_failures.fetch_add(1, std::memory_order_relaxed);
+  return ok;
 }
 
 #ifdef RFIDSIM_FLIGHT_HAS_SIGNALS
@@ -268,34 +164,18 @@ void write_all(int fd, const char* buf, std::size_t n) {
 }
 
 /// The handler proper. Only async-signal-safe calls (open/write/rename/
-/// raise) plus try-locks: a mutex held by the crashing thread skips its
-/// ring rather than deadlocking the dump.
+/// raise) plus a try-acquired ring guard: a ring held by the crashing
+/// thread is skipped rather than deadlocking the dump.
 void crash_handler(int sig) {
   if (!g_dumping.exchange(true)) {
     const int fd = ::open(g_crash_tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
-      char line[kLineCap];
       char reason[32];
       std::size_t at = put_str(reason, sizeof reason, 0, "signal:");
       at = put_u64(reason, sizeof reason, at, static_cast<std::uint64_t>(sig));
       reason[std::min(at, sizeof reason - 1)] = '\0';
-      write_all(fd, line, format_meta(line, kLineCap, reason));
-
-      FlightRecorder& rec = flight_recorder();
-      if (rec.mutex.try_lock()) {
-        for (const auto& ring : rec.rings) {
-          if (!ring->mutex.try_lock()) continue;
-          const std::uint64_t kept =
-              std::min<std::uint64_t>(ring->written, kFlightRingCapacity);
-          for (std::uint64_t i = ring->written - kept; i < ring->written; ++i) {
-            write_all(fd, line,
-                      format_record(line, kLineCap,
-                                    ring->slots[i % kFlightRingCapacity]));
-          }
-          ring->mutex.unlock();
-        }
-        rec.mutex.unlock();
-      }
+      emit_dump(reason, true,
+                [fd](const char* line, std::size_t n) { write_all(fd, line, n); });
       ::close(fd);
       ::rename(g_crash_tmp, g_crash_path);
     }
@@ -312,6 +192,9 @@ bool install_crash_handler(const std::string& path) {
   g_crash_path[sizeof g_crash_path - 1] = '\0';
   std::strncpy(g_crash_tmp, g_crash_path, sizeof g_crash_tmp - 5);
   std::strcat(g_crash_tmp, ".tmp");
+  // Construct the log now: its first use allocates, which the handler must
+  // never do.
+  (void)provenance_log();
 
   struct sigaction action;
   std::memset(&action, 0, sizeof action);

@@ -1,64 +1,35 @@
 // rfidsim::obs — crash flight recorder.
 //
-// A bounded per-thread ring of recent structured records (the TraceSpan
-// ring pattern, but for discrete events rather than spans) that can be
-// dumped atomically to a file — on explicit trigger, or from a fatal-signal
-// handler installed by install_crash_handler(). The point is post-mortems:
-// when a backend dies mid-ingest, the dump preserves the last few thousand
-// pipeline events (provenance hops, checkpoint writes, pass boundaries)
-// next to whatever checkpoint hit the disk, so the crash is attributable
-// without a debugger.
+// The recorder stores nothing of its own: it dumps the newest
+// kFlightDumpRecords records of the process-wide provenance log's ring
+// (provenance_log(), see provenance.hpp) to a file — on explicit trigger,
+// or from a fatal-signal handler installed by install_crash_handler(). The
+// point is post-mortems: when a backend dies mid-ingest, the dump
+// preserves the last few thousand pipeline hops (uploads, merges,
+// checkpoint writes) next to whatever checkpoint hit the disk, so the crash
+// is attributable without a debugger.
 //
 // Contracts:
-//   - flight_record() is gated on hooks_enabled(): a few nanoseconds when
-//     obs is off, compiled out entirely under -DRFIDSIM_OBS=OFF (the dump
-//     then contains only its meta line — still written, still readable).
-//   - Rings are bounded (kFlightRingCapacity per thread); wrap overwrites
-//     the oldest records and tallies the loss (flight_dropped()), never
-//     silently.
-//   - `category` and `event` must be string literals (stored by pointer,
-//     exactly like TraceSpan names).
+//   - The dump is a meta line (carrying the provenance log's recorded /
+//     dropped tallies) followed by one JSON line per record, schema in
+//     EXPERIMENTS.md. With obs off or compiled out the log is empty, so the
+//     dump is the meta line alone — still written, still readable.
 //   - Explicit dumps are atomic: written to "<path>.tmp", then renamed.
 //     The signal handler uses the same tmp+rename dance with raw
-//     async-signal-safe write(2)/rename(2) calls and try-locks each ring —
-//     a ring wedged by the crashing thread is skipped, not deadlocked on.
+//     async-signal-safe write(2)/rename(2) calls and only try-acquires the
+//     ring — a ring held by the crashing thread is skipped, not
+//     deadlocked on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
-#include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace rfidsim::obs {
 
-/// One recorded event, as returned by flight_snapshot().
-struct FlightRecord {
-  std::uint64_t seq = 0;      ///< Global order stamp (cross-thread total order).
-  std::uint64_t wall_ns = 0;  ///< trace_now_ns() at record time.
-  const char* category = "";  ///< Static string literal ("provenance", ...).
-  const char* event = "";     ///< Static string literal ("merged", ...).
-  std::uint64_t a = 0;        ///< Event-specific payload words.
-  std::uint64_t b = 0;
-  std::uint64_t c = 0;
-  double time_s = -1.0;  ///< Simulated time; -1 when none applies.
-  std::uint32_t tid = 0; ///< Recording thread's registration index.
-};
-
-/// Records per thread ring; the newest records win once a ring wraps.
-inline constexpr std::size_t kFlightRingCapacity = 2048;
-
-/// Appends one record to the calling thread's ring. No-op unless
-/// hooks_enabled().
-void flight_record(const char* category, const char* event, std::uint64_t a = 0,
-                   std::uint64_t b = 0, std::uint64_t c = 0, double time_s = -1.0);
-
-/// Merged copy of every thread's retained records, ordered by seq.
-std::vector<FlightRecord> flight_snapshot();
-
-std::uint64_t flight_recorded();  ///< Records accepted (monotonic).
-std::uint64_t flight_dropped();   ///< Records overwritten by ring wrap.
+/// Provenance records a dump carries (the newest ones).
+inline constexpr std::size_t kFlightDumpRecords = 2048;
 
 /// Explicit-dump bookkeeping, surfaced in FleetService::health_snapshot():
 /// a fleet whose black box cannot reach the disk should say so *before*
@@ -67,8 +38,7 @@ std::uint64_t flight_dropped();   ///< Records overwritten by ring wrap.
 std::uint64_t flight_dump_attempts();
 std::uint64_t flight_dump_failures();
 
-/// Writes the dump (meta line + one JSON object per record, schema in
-/// EXPERIMENTS.md) to `out`.
+/// Writes the dump (meta line + one JSON object per record) to `out`.
 void write_flight_dump(std::ostream& out, const char* reason = "explicit");
 
 /// Atomically writes the dump to `path` (tmp + rename). Returns false if
@@ -84,9 +54,5 @@ bool install_crash_handler(const std::string& path);
 
 /// The path the crash handler will dump to ("" when none installed).
 const char* crash_dump_path();
-
-/// Discards every thread's records and zeroes the tallies (registrations
-/// survive).
-void clear_flight_recorder();
 
 }  // namespace rfidsim::obs

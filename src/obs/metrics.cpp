@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -207,6 +208,17 @@ std::string render_labels(std::initializer_list<Label> labels) {
 }
 
 }  // namespace
+
+bool write_file_atomically(const std::string& path, void (*write)(std::ostream&)) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    write(out);
+    if (!out) return false;
+  }
+  return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
 
 std::string escape_label_value(std::string_view value) {
   std::string out;

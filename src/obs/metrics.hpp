@@ -57,7 +57,7 @@ inline bool hooks_enabled() {
 #endif
 }
 
-/// True when TraceSpan should record (requires hooks_enabled too).
+/// True when ScopedPhase should record spans (requires hooks_enabled too).
 inline bool trace_hooks_enabled() {
 #ifdef RFIDSIM_OBS_DISABLED
   return false;
@@ -231,6 +231,10 @@ inline Counter& counter(std::string_view name, std::initializer_list<Label> labe
 inline Gauge& gauge(std::string_view name, std::initializer_list<Label> labels) {
   return registry().gauge(name, labels);
 }
+
+/// Writes a dump atomically: `write` fills "<path>.tmp", which is then
+/// renamed over `path`. Returns false if the file could not be written.
+bool write_file_atomically(const std::string& path, void (*write)(std::ostream&));
 
 /// Prometheus label-value escaping (`\` -> `\\`, `"` -> `\"`, newline ->
 /// `\n`), as write_exposition applies to every label value. Exposed for

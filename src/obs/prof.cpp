@@ -5,13 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 #if defined(__linux__) && !defined(RFIDSIM_OBS_DISABLED)
 #define RFIDSIM_PROF_HAS_TIMERS 1
@@ -42,66 +39,47 @@
 #define RFIDSIM_PROF_HAS_SYMBOLS 1
 #endif
 
+#ifdef RFIDSIM_PROF_HAS_TIMERS
+namespace rfidsim::obs::detail {
+
+/// A sampled thread's CPU-time timer. Guarded by the registry mutex, which
+/// also keeps `thread` valid: a thread clears `alive` under it before it
+/// exits.
+struct ProfTimer {
+  pid_t tid = 0;
+  pthread_t thread{};  ///< Names the thread's CPU-time clock for its timer.
+  timer_t timer{};
+  bool armed = false;
+  bool alive = true;
+};
+
+}  // namespace rfidsim::obs::detail
+#endif  // RFIDSIM_PROF_HAS_TIMERS
+
 namespace rfidsim::obs::prof {
 
 namespace {
 
 #ifdef RFIDSIM_PROF_HAS_TIMERS
 
-/// One thread's sample storage. Single writer (the owning thread's SIGPROF
-/// handler); readers synchronize through `written` (release/acquire) and
-/// only run after stop() has waited out in-flight handlers via `busy`.
-struct SampleRing {
-  std::array<Sample, kSampleRingCapacity> slots;
-  std::atomic<std::uint64_t> written{0};
-  std::atomic_flag busy = ATOMIC_FLAG_INIT;
-};
-
-/// Per-thread registration. Registration itself is cheap (~100 bytes);
-/// the multi-megabyte ring is only allocated when profiling first starts,
-/// so pool workers in a never-profiled run cost nothing but this stub.
-struct ThreadEntry {
-  std::atomic<SampleRing*> ring{nullptr};  ///< Set once, under the mutex.
-  std::shared_ptr<SampleRing> holder;      ///< Owns *ring; mutex-guarded.
-  std::atomic<std::uint32_t> lane{kNoLane};
-  std::atomic<bool> alive{true};
-  pid_t tid = 0;
-  pthread_t thread{};  ///< Names the thread's CPU-time clock for its timer.
-  timer_t timer{};
-  bool timer_armed = false;  ///< Guarded by EntryRegistry::mutex.
-};
-
-struct EntryRegistry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadEntry>> entries;
-};
-
-EntryRegistry& entry_registry() {
-  static EntryRegistry* r = new EntryRegistry;  // Never destroyed: handlers
-  return *r;                                    // may outlive static teardown.
-}
+using detail::ProfTimer;
+using detail::ThreadEntry;
 
 std::atomic<bool> g_active{false};
-std::atomic<std::uint64_t> g_recorded{0};
-std::atomic<std::uint64_t> g_dropped{0};
 std::atomic<std::uint32_t> g_interval_usec{997};
 std::atomic<std::uint32_t> g_max_depth{kMaxFrames};
 struct sigaction g_old_action;
 
-thread_local ThreadEntry* t_entry = nullptr;
-
 /// The SIGPROF handler. Async-signal-safe by construction: POD stores into
 /// a preallocated slot, one primed backtrace() call, errno save/restore,
-/// and a try-lock (`busy`) instead of any blocking primitive.
+/// and a try-acquired ring guard instead of any blocking primitive.
 void sigprof_handler(int, siginfo_t*, void*) {
-  ThreadEntry* entry = t_entry;
+  const ThreadEntry* entry = detail::t_thread_entry;
   if (entry == nullptr || !g_active.load(std::memory_order_relaxed)) return;
-  SampleRing* ring = entry->ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
-  if (ring->busy.test_and_set(std::memory_order_acquire)) return;
+  Ring<Sample>* ring = entry->samples.load(std::memory_order_acquire);
+  if (ring == nullptr || !ring->try_lock()) return;
   const int saved_errno = errno;
-  const std::uint64_t idx = ring->written.load(std::memory_order_relaxed);
-  Sample& slot = ring->slots[idx % kSampleRingCapacity];
+  Sample& slot = ring->next_slot();
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
   slot.wall_ns = static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
@@ -111,73 +89,77 @@ void sigprof_handler(int, siginfo_t*, void*) {
       slot.frames.data(),
       static_cast<int>(g_max_depth.load(std::memory_order_relaxed)));
   slot.depth = depth > 0 ? static_cast<std::uint32_t>(depth) : 0;
-  ring->written.store(idx + 1, std::memory_order_release);
-  g_recorded.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kSampleRingCapacity) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-  }
+  ring->commit();
   errno = saved_errno;
-  ring->busy.clear(std::memory_order_release);
+  ring->unlock();
 }
 
-/// Allocates the entry's ring if it does not exist yet. Caller holds
-/// EntryRegistry::mutex; the release store publishes the fully constructed
-/// ring to the handler.
-void ensure_ring_locked(ThreadEntry& entry) {
-  if (entry.holder) return;
-  entry.holder = std::make_shared<SampleRing>();
-  entry.ring.store(entry.holder.get(), std::memory_order_release);
-}
-
-/// Arms one thread's CPU-time timer. Caller holds EntryRegistry::mutex,
-/// which also keeps `entry.thread` valid: a thread clears `alive` under it
-/// before it exits. The clock must be the entry's own —
+/// Arms one thread's CPU-time timer, allocating its sample ring first.
+/// Caller holds the registry mutex; the release store publishes the fully
+/// constructed ring to the handler. The clock must be the entry's own —
 /// CLOCK_THREAD_CPUTIME_ID names the calling thread's, and start() arms
 /// every already-registered thread from its own.
 void arm_timer_locked(ThreadEntry& entry) {
-  if (entry.timer_armed || !entry.alive.load(std::memory_order_relaxed)) return;
+  ProfTimer* timer = entry.timer;
+  if (timer == nullptr || timer->armed || !timer->alive) return;
   clockid_t clock{};
-  if (pthread_getcpuclockid(entry.thread, &clock) != 0) return;
-  ensure_ring_locked(entry);
+  if (pthread_getcpuclockid(timer->thread, &clock) != 0) return;
+  if (entry.samples.load(std::memory_order_relaxed) == nullptr) {
+    entry.samples.store(new Ring<Sample>(kSamplesPerThread),
+                        std::memory_order_release);
+  }
   struct sigevent sev;
   std::memset(&sev, 0, sizeof sev);
   sev.sigev_notify = SIGEV_THREAD_ID;
   sev.sigev_signo = SIGPROF;
-  sev.sigev_notify_thread_id = entry.tid;
-  if (timer_create(clock, &sev, &entry.timer) != 0) return;
+  sev.sigev_notify_thread_id = timer->tid;
+  if (timer_create(clock, &sev, &timer->timer) != 0) return;
   const long interval_ns =
       static_cast<long>(g_interval_usec.load(std::memory_order_relaxed)) * 1000L;
   itimerspec spec{};
   spec.it_interval.tv_sec = interval_ns / 1000000000L;
   spec.it_interval.tv_nsec = interval_ns % 1000000000L;
   spec.it_value = spec.it_interval;
-  if (timer_settime(entry.timer, 0, &spec, nullptr) != 0) {
-    timer_delete(entry.timer);
+  if (timer_settime(timer->timer, 0, &spec, nullptr) != 0) {
+    timer_delete(timer->timer);
     return;
   }
-  entry.timer_armed = true;
+  timer->armed = true;
 }
 
-void disarm_timer_locked(ThreadEntry& entry) {
-  if (!entry.timer_armed) return;
-  timer_delete(entry.timer);
-  entry.timer_armed = false;
+void disarm_timer_locked(ProfTimer& timer) {
+  if (!timer.armed) return;
+  timer_delete(timer.timer);
+  timer.armed = false;
 }
 
-/// Thread-exit hook: disarm this thread's timer and mark the entry dead
-/// (its retained samples stay dumpable, like flight-recorder rings).
-struct ThreadRegistration {
-  std::shared_ptr<ThreadEntry> entry;
-  ~ThreadRegistration() {
-    if (!entry) return;
-    std::lock_guard lock(entry_registry().mutex);
-    disarm_timer_locked(*entry);
-    entry->alive.store(false, std::memory_order_relaxed);
-    t_entry = nullptr;
+/// Thread-exit hook: disarm this thread's timer and mark it dead (its
+/// retained samples stay dumpable).
+struct ThreadExitHook {
+  ProfTimer* timer = nullptr;
+  ~ThreadExitHook() {
+    if (timer == nullptr) return;
+    const std::lock_guard lock(detail::thread_registry().mutex);
+    disarm_timer_locked(*timer);
+    timer->alive = false;
   }
 };
 
-thread_local ThreadRegistration t_registration;
+thread_local ThreadExitHook t_exit_hook;
+
+/// Gives the calling thread a sampling timer, once; armed at once when the
+/// profiler is active.
+void ensure_timer() {
+  if (t_exit_hook.timer != nullptr) return;
+  auto* timer = new ProfTimer;
+  timer->tid = static_cast<pid_t>(::syscall(SYS_gettid));
+  timer->thread = pthread_self();
+  t_exit_hook.timer = timer;
+  ThreadEntry& entry = detail::this_thread_entry();
+  const std::lock_guard lock(detail::thread_registry().mutex);
+  entry.timer = timer;
+  if (g_active.load(std::memory_order_relaxed)) arm_timer_locked(entry);
+}
 
 #endif  // RFIDSIM_PROF_HAS_TIMERS
 
@@ -262,23 +244,22 @@ std::size_t first_frame(const Sample& sample) {
   return sample.depth > 2 ? 2 : 0;
 }
 
+/// Calls visit(ring) for every sample ring allocated so far.
+template <typename Visit>
+void for_each_sample_ring(Visit&& visit) {
+  for (const detail::ThreadEntry* entry : detail::thread_entries()) {
+    if (Ring<Sample>* ring = entry->samples.load(std::memory_order_acquire)) {
+      visit(*ring);
+    }
+  }
+}
+
 }  // namespace
 
 void register_thread(std::uint32_t lane) {
 #ifdef RFIDSIM_PROF_HAS_TIMERS
-  if (t_entry != nullptr) {
-    t_entry->lane.store(lane, std::memory_order_relaxed);
-    return;
-  }
-  auto entry = std::make_shared<ThreadEntry>();
-  entry->tid = static_cast<pid_t>(::syscall(SYS_gettid));
-  entry->thread = pthread_self();
-  entry->lane.store(lane, std::memory_order_relaxed);
-  std::lock_guard lock(entry_registry().mutex);
-  entry_registry().entries.push_back(entry);
-  t_registration.entry = entry;
-  t_entry = entry.get();
-  if (g_active.load(std::memory_order_relaxed)) arm_timer_locked(*entry);
+  detail::this_thread_entry().lane.store(lane, std::memory_order_relaxed);
+  ensure_timer();
 #else
   (void)lane;
 #endif
@@ -308,9 +289,9 @@ bool start(const ProfilerConfig& config) {
     g_active.store(false, std::memory_order_relaxed);
     return false;
   }
-  if (t_entry == nullptr) register_thread(kNoLane);
-  std::lock_guard lock(entry_registry().mutex);
-  for (const auto& entry : entry_registry().entries) arm_timer_locked(*entry);
+  ensure_timer();
+  const std::lock_guard lock(detail::thread_registry().mutex);
+  for (ThreadEntry* entry : detail::thread_registry().entries) arm_timer_locked(*entry);
   return true;
 #else
   (void)config;
@@ -321,24 +302,18 @@ bool start(const ProfilerConfig& config) {
 void stop() {
 #ifdef RFIDSIM_PROF_HAS_TIMERS
   if (!g_active.exchange(false)) return;
-  std::vector<std::shared_ptr<ThreadEntry>> entries;
   {
-    std::lock_guard lock(entry_registry().mutex);
-    for (const auto& entry : entry_registry().entries) {
-      disarm_timer_locked(*entry);
+    const std::lock_guard lock(detail::thread_registry().mutex);
+    for (ThreadEntry* entry : detail::thread_registry().entries) {
+      if (entry->timer != nullptr) disarm_timer_locked(*entry->timer);
     }
-    entries = entry_registry().entries;
   }
-  // Wait out in-flight handlers: once each ring's busy flag has been
-  // acquired here, every handler write happens-before the dump reads.
-  for (const auto& entry : entries) {
-    SampleRing* ring = entry->ring.load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    while (ring->busy.test_and_set(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    ring->busy.clear(std::memory_order_release);
-  }
+  // Wait out in-flight handlers: once each ring's guard has been acquired
+  // here, every handler write happens-before the dump reads.
+  for_each_sample_ring([](const Ring<Sample>& ring) {
+    ring.lock();
+    ring.unlock();
+  });
   sigaction(SIGPROF, &g_old_action, nullptr);
 #endif
 }
@@ -352,36 +327,20 @@ bool profiling_active() {
 }
 
 std::uint64_t samples_recorded() {
-#ifdef RFIDSIM_PROF_HAS_TIMERS
-  return g_recorded.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
+  std::uint64_t total = 0;
+  for_each_sample_ring([&total](const Ring<Sample>& ring) { total += ring.written(); });
+  return total;
 }
 
 std::uint64_t samples_dropped() {
-#ifdef RFIDSIM_PROF_HAS_TIMERS
-  return g_dropped.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
+  std::uint64_t total = 0;
+  for_each_sample_ring([&total](const Ring<Sample>& ring) { total += ring.dropped(); });
+  return total;
 }
 
 std::vector<Sample> samples_snapshot() {
   std::vector<Sample> out;
-#ifdef RFIDSIM_PROF_HAS_TIMERS
-  std::lock_guard lock(entry_registry().mutex);
-  for (const auto& entry : entry_registry().entries) {
-    const SampleRing* ring = entry->holder.get();
-    if (ring == nullptr) continue;
-    const std::uint64_t written = ring->written.load(std::memory_order_acquire);
-    const std::uint64_t retained =
-        std::min<std::uint64_t>(written, kSampleRingCapacity);
-    for (std::uint64_t i = written - retained; i < written; ++i) {
-      out.push_back(ring->slots[i % kSampleRingCapacity]);
-    }
-  }
-#endif
+  for_each_sample_ring([&out](const Ring<Sample>& ring) { ring.snapshot(out); });
   return out;
 }
 
@@ -409,48 +368,12 @@ void write_folded(std::ostream& out) {
   }
 }
 
-void write_profile_chrome_trace(std::ostream& out) {
-  const std::vector<Sample> samples = samples_snapshot();
-  const std::map<void*, std::string> names = symbolize(samples);
-  out << "[";
-  bool first = true;
-  for (const Sample& sample : samples) {
-    const std::size_t depth = std::min<std::size_t>(sample.depth, kMaxFrames);
-    const std::size_t start = first_frame(sample);
-    if (depth <= start) continue;
-    if (!first) out << ",\n ";
-    first = false;
-    char ts[32];
-    std::snprintf(ts, sizeof ts, "%.3f",
-                  static_cast<double>(sample.wall_ns) / 1000.0);
-    out << "{\"name\":\"" << names.at(sample.frames[start])
-        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":"
-        << (sample.lane == kNoLane ? 0xffffu : sample.lane) << ",\"ts\":" << ts
-        << "}";
-  }
-  out << "]\n";
-}
-
 bool dump_profile(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    write_folded(out);
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomically(path, write_folded);
 }
 
 void clear_profile() {
-#ifdef RFIDSIM_PROF_HAS_TIMERS
-  std::lock_guard lock(entry_registry().mutex);
-  for (const auto& entry : entry_registry().entries) {
-    if (entry->holder) entry->holder->written.store(0, std::memory_order_relaxed);
-  }
-  g_recorded.store(0, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
-#endif
+  for_each_sample_ring([](Ring<Sample>& ring) { ring.clear(); });
 }
 
 }  // namespace rfidsim::obs::prof

@@ -3,20 +3,20 @@
 // Per-thread CPU-time sampling: every registered thread gets a POSIX timer
 // (timer_create on CLOCK_THREAD_CPUTIME_ID, SIGEV_THREAD_ID delivery) that
 // raises SIGPROF on that thread at a fixed CPU-time interval. The handler
-// captures a backtrace() stack into the thread's bounded sample ring — the
-// flight recorder's per-thread-ring pattern, but with a lock-free
-// single-writer ring because a signal handler cannot take a mutex it might
-// already hold. Symbolization (backtrace_symbols + __cxa_demangle) happens
-// offline at dump time, never in the handler.
+// captures a backtrace() stack into the thread's bounded sample ring (an
+// obs::Ring, see ring.hpp, filled in place under a try-acquired guard
+// because a signal handler cannot wait on a lock it might already hold).
+// Symbolization (backtrace_symbols + __cxa_demangle) happens offline at
+// dump time, never in the handler.
 //
 // Async-signal-safety rules the handler obeys (DESIGN.md section 13):
-//   - no allocation, no locks, no iostream: it writes POD fields into a
+//   - no allocation, no blocking, no iostream: it writes POD fields into a
 //     preallocated slot and publishes with one release store;
 //   - backtrace() is primed once in start() (its first call may allocate
 //     libgcc state), after which glibc documents it signal-safe;
 //   - errno is saved and restored;
-//   - a per-ring test_and_set guard lets stop() wait out an in-flight
-//     handler before the rings are read, so dumps never race a straggler.
+//   - the ring's guard lets stop() wait out an in-flight handler before
+//     the rings are read, so dumps never race a straggler.
 //
 // Feedback-free: sampling observes thread CPU time only; SA_RESTART keeps
 // interrupted syscalls invisible to the simulation, and the bench event
@@ -24,9 +24,8 @@
 // non-Linux platforms (and under -DRFIDSIM_OBS=OFF) start() returns false
 // and every other entry point degenerates to a no-op.
 //
-// Exports: folded stacks ("frame;frame;frame count" — flamegraph.pl
-// input) and Chrome trace_event instant events, both deterministic given
-// the same sample set.
+// Export: folded stacks ("frame;frame;frame count" — flamegraph.pl
+// input), deterministic given the same sample set.
 #pragma once
 
 #include <array>
@@ -41,7 +40,7 @@ namespace rfidsim::obs::prof {
 
 /// Samples retained per thread before the ring wraps (newest win; drops
 /// are tallied, never silent).
-inline constexpr std::size_t kSampleRingCapacity = 8192;
+inline constexpr std::size_t kSamplesPerThread = 8192;
 
 /// Frames captured per sample. Deep enough to reach the portal/sweep
 /// orchestration layers from any leaf; deeper stacks are truncated.
@@ -99,9 +98,6 @@ std::map<std::string, std::uint64_t> fold_samples(const std::vector<Sample>& sam
 /// Folded stacks, one "stack count" line each, sorted by stack — the
 /// flamegraph.pl input format.
 void write_folded(std::ostream& out);
-
-/// Chrome trace_event instant events (ts = wall microseconds, tid = lane).
-void write_profile_chrome_trace(std::ostream& out);
 
 /// Atomically writes the folded-stack dump to `path` (tmp + rename).
 /// Returns false if the file could not be written.

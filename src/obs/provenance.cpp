@@ -1,11 +1,9 @@
 #include "obs/provenance.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
-#include "common/error.hpp"
-#include "obs/flight_recorder.hpp"
+#include "common/hash.hpp"
 
 namespace rfidsim::obs {
 
@@ -33,31 +31,16 @@ std::uint64_t provenance_batch_id(std::uint32_t facility, std::uint64_t sequence
   // store uses for shard routing. The +1 keeps the (0, 0) batch away from
   // the reserved "no id" value; the final "| 1"-style guard is unnecessary
   // because the finalizer maps only one input to 0 and we shifted off it.
-  std::uint64_t z = (static_cast<std::uint64_t>(facility) << 40) + sequence + 1;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
+  const std::uint64_t z =
+      splitmix64((static_cast<std::uint64_t>(facility) << 40) + sequence + 1);
   return z == 0 ? 1 : z;
 }
 
-ProvenanceLog::ProvenanceLog(std::size_t capacity) {
-  require(capacity > 0, "ProvenanceLog: capacity must be positive");
-  slots_.resize(capacity);
-}
+ProvenanceLog::ProvenanceLog(std::size_t capacity) : ring_(capacity) {}
 
 void ProvenanceLog::record(const ProvenanceRecord& rec) {
   if (!hooks_enabled()) return;
-  // Mirror into the flight recorder so a crash dump carries the tail of
-  // the provenance stream (a = batch id, b = hop value, c = facility).
-  flight_record("provenance", batch_hop_name(rec.hop), rec.batch_id, rec.value,
-                rec.facility, rec.time_s);
-  bool wrapped = false;
-  {
-    std::lock_guard lock(mutex_);
-    wrapped = written_ >= slots_.size();
-    slots_[written_ % slots_.size()] = rec;
-    ++written_;
-  }
+  const bool wrapped = ring_.push(rec);
   static Counter& records = obs::counter("obs.provenance.records");
   records.add(1);
   if (wrapped) {
@@ -67,13 +50,8 @@ void ProvenanceLog::record(const ProvenanceRecord& rec) {
 }
 
 std::vector<ProvenanceRecord> ProvenanceLog::snapshot() const {
-  std::lock_guard lock(mutex_);
   std::vector<ProvenanceRecord> out;
-  const std::uint64_t kept = std::min<std::uint64_t>(written_, slots_.size());
-  out.reserve(static_cast<std::size_t>(kept));
-  for (std::uint64_t i = written_ - kept; i < written_; ++i) {
-    out.push_back(slots_[i % slots_.size()]);
-  }
+  ring_.snapshot(out);
   return out;
 }
 
@@ -85,15 +63,9 @@ std::vector<ProvenanceRecord> ProvenanceLog::history(std::uint64_t batch_id) con
   return out;
 }
 
-std::uint64_t ProvenanceLog::recorded() const {
-  std::lock_guard lock(mutex_);
-  return written_;
-}
+std::uint64_t ProvenanceLog::recorded() const { return ring_.written(); }
 
-std::uint64_t ProvenanceLog::dropped() const {
-  std::lock_guard lock(mutex_);
-  return written_ > slots_.size() ? written_ - slots_.size() : 0;
-}
+std::uint64_t ProvenanceLog::dropped() const { return ring_.dropped(); }
 
 void ProvenanceLog::write_jsonl(std::ostream& out) const {
   char line[64];
@@ -110,31 +82,7 @@ void ProvenanceLog::write_jsonl(std::ostream& out) const {
   }
 }
 
-void ProvenanceLog::write_chrome_trace(std::ostream& out) const {
-  const std::vector<ProvenanceRecord> records = snapshot();
-  out << "{\"traceEvents\":[";
-  char buf[64];
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProvenanceRecord& rec = records[i];
-    if (i > 0) out << ',';
-    // Instant events on the *simulated* time axis: ts is time_s in
-    // microseconds (clamped at 0 — a handful of hops carry no sim time),
-    // tid the facility, so per-facility pipelines land on separate rows.
-    const double ts = rec.time_s < 0 ? 0.0 : rec.time_s * 1e6;
-    std::snprintf(buf, sizeof buf, "%.3f", ts);
-    out << "{\"name\":\"" << batch_hop_name(rec.hop)
-        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":"
-        << (rec.facility == kNoFacility ? 0xffffu : rec.facility)
-        << ",\"ts\":" << buf << ",\"args\":{\"batch_id\":" << rec.batch_id
-        << ",\"value\":" << rec.value << "}}";
-  }
-  out << "],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void ProvenanceLog::clear() {
-  std::lock_guard lock(mutex_);
-  written_ = 0;
-}
+void ProvenanceLog::clear() { ring_.clear(); }
 
 ProvenanceLog& provenance_log() {
   static ProvenanceLog instance;

@@ -19,19 +19,18 @@
 //     records on wrap; overwrites are tallied, never silent (dropped(),
 //     mirrored to the obs.provenance.dropped_records counter).
 //
-// Exports: JSONL (one record per line, schema in EXPERIMENTS.md) and
-// Chrome trace_event instant events on the simulated-time axis. Every
-// record is also mirrored into the crash flight recorder, so a post-mortem
-// dump carries the tail of the provenance stream next to the checkpoint.
+// Export: JSONL (one record per line, schema in EXPERIMENTS.md). The crash
+// flight recorder dumps the tail of the process-wide log's ring, so a
+// post-mortem dump carries the provenance stream next to the checkpoint.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace rfidsim::obs {
 
@@ -77,15 +76,14 @@ struct ProvenanceRecord {
 /// Records retained before the ring wraps (newest win; drops are tallied).
 inline constexpr std::size_t kProvenanceLogCapacity = 1 << 16;
 
-/// Bounded, mutex-protected provenance ring. One process-wide instance
-/// (provenance_log()) is what the pipeline hooks feed; tests build their
-/// own.
+/// Bounded provenance ring, shared by every recording thread. One
+/// process-wide instance (provenance_log()) is what the pipeline hooks feed
+/// and what the flight recorder dumps; tests build their own.
 class ProvenanceLog {
  public:
   explicit ProvenanceLog(std::size_t capacity = kProvenanceLogCapacity);
 
-  /// Appends one record. No-op unless hooks_enabled(); mirrors the record
-  /// into the crash flight recorder (category "provenance").
+  /// Appends one record. No-op unless hooks_enabled().
   void record(const ProvenanceRecord& rec);
 
   /// Oldest-to-newest copy of the retained records. Safe to call while
@@ -99,17 +97,16 @@ class ProvenanceLog {
 
   /// One JSON object per line (schema in EXPERIMENTS.md).
   void write_jsonl(std::ostream& out) const;
-  /// Chrome trace_event instant events on the simulated-time axis
-  /// (ts = time_s in microseconds; tid = facility).
-  void write_chrome_trace(std::ostream& out) const;
 
   /// Discards all records and zeroes the drop tally.
   void clear();
 
+  /// The ring itself: the flight recorder reads its tail in place, and
+  /// record positions in it are the dump's `seq`.
+  const Ring<ProvenanceRecord>& ring() const { return ring_; }
+
  private:
-  mutable std::mutex mutex_;
-  std::vector<ProvenanceRecord> slots_;
-  std::uint64_t written_ = 0;  ///< Monotonic; slot index = written % capacity.
+  Ring<ProvenanceRecord> ring_;
 };
 
 /// The process-wide provenance log every pipeline hook feeds.

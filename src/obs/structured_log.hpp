@@ -11,7 +11,7 @@
 // is byte-identical across runs and thread counts as long as records are
 // emitted in a deterministic order (the monitor feeds passes in index
 // order; see monitor.hpp). Wall-clock timestamps — read from the same
-// steady clock TraceSpan uses (trace_now_ns) — are strictly opt-in via
+// steady clock trace spans use (trace_now_ns) — are strictly opt-in via
 // set_wall_clock(true), because they break byte-identity by design.
 //
 // Rate limiting is deterministic too: a per-(component, event) budget of

@@ -3,12 +3,25 @@
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <sstream>
+
+#include "obs/ring.hpp"
 
 namespace rfidsim::obs {
+
+namespace {
+
+/// Calls visit(ring) for every span ring allocated so far.
+template <typename Visit>
+void for_each_span_ring(Visit&& visit) {
+  for (const detail::ThreadEntry* entry : detail::thread_entries()) {
+    if (Ring<TraceEvent>* ring = entry->spans.load(std::memory_order_acquire)) {
+      visit(*ring);
+    }
+  }
+}
+
+}  // namespace
 
 std::uint64_t trace_now_ns() {
   return static_cast<std::uint64_t>(
@@ -17,112 +30,28 @@ std::uint64_t trace_now_ns() {
           .count());
 }
 
-namespace {
-
-/// One thread's span ring. The writer thread and exporters synchronise on
-/// the ring's own mutex; uncontended in steady state (exports are rare).
-struct ThreadRing {
-  std::mutex mutex;
-  std::vector<TraceEvent> slots{std::vector<TraceEvent>(kTraceRingCapacity)};
-  std::uint64_t written = 0;  ///< Monotonic; slot index is written % capacity.
-  std::uint64_t dropped = 0;  ///< Retained spans overwritten by ring wrap.
-  std::uint32_t tid = 0;
-
-  void push(const TraceEvent& ev) {
-    bool wrapped = false;
-    {
-      std::lock_guard lock(mutex);
-      wrapped = written >= kTraceRingCapacity;
-      if (wrapped) ++dropped;
-      slots[written % kTraceRingCapacity] = ev;
-      ++written;
-    }
-    // Wrap used to lose the span without a trace (so to speak): the tally
-    // makes truncated exports diagnosable. Counter lookup is cached; one
-    // atomic add per dropped span, nothing on the non-wrapping path.
-    if (wrapped) {
-      static Counter& drops = obs::counter("obs.trace.dropped_spans");
-      drops.add(1);
-    }
+void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
+                 std::uint32_t depth) {
+  detail::ThreadEntry& entry = detail::this_thread_entry();
+  Ring<TraceEvent>* ring = entry.spans.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new Ring<TraceEvent>(kTraceRingCapacity);
+    entry.spans.store(ring, std::memory_order_release);
   }
-
-  /// Oldest-to-newest copy of the retained events.
-  void snapshot(std::vector<TraceEvent>& out) {
-    std::lock_guard lock(mutex);
-    const std::uint64_t kept = std::min<std::uint64_t>(written, kTraceRingCapacity);
-    for (std::uint64_t i = written - kept; i < written; ++i) {
-      out.push_back(slots[i % kTraceRingCapacity]);
-    }
+  const bool wrapped = ring->push(TraceEvent{.name = name,
+                                             .start_ns = start_ns,
+                                             .duration_ns = end_ns - start_ns,
+                                             .depth = depth,
+                                             .tid = entry.index});
+  if (wrapped) {
+    static Counter& drops = obs::counter("obs.trace.dropped_spans");
+    drops.add(1);
   }
-
-  void clear() {
-    std::lock_guard lock(mutex);
-    written = 0;
-    dropped = 0;
-  }
-
-  std::uint64_t dropped_count() {
-    std::lock_guard lock(mutex);
-    return dropped;
-  }
-};
-
-/// Registry of every thread's ring. Rings are shared_ptrs so spans from
-/// threads that have since exited still export.
-struct Recorder {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-
-  std::shared_ptr<ThreadRing> register_thread() {
-    auto ring = std::make_shared<ThreadRing>();
-    std::lock_guard lock(mutex);
-    ring->tid = static_cast<std::uint32_t>(rings.size());
-    rings.push_back(ring);
-    return ring;
-  }
-
-  std::vector<std::shared_ptr<ThreadRing>> all() {
-    std::lock_guard lock(mutex);
-    return rings;
-  }
-};
-
-Recorder& recorder() {
-  static Recorder instance;
-  return instance;
-}
-
-ThreadRing& thread_ring() {
-  thread_local std::shared_ptr<ThreadRing> ring = recorder().register_thread();
-  return *ring;
-}
-
-thread_local std::uint32_t t_depth = 0;
-
-}  // namespace
-
-TraceSpan::TraceSpan(const char* name) : name_(name) {
-  if (!trace_hooks_enabled()) return;
-  active_ = true;
-  depth_ = t_depth++;
-  start_ns_ = trace_now_ns();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!active_) return;
-  const std::uint64_t end = trace_now_ns();
-  --t_depth;
-  ThreadRing& ring = thread_ring();
-  ring.push(TraceEvent{.name = name_,
-                       .start_ns = start_ns_,
-                       .duration_ns = end - start_ns_,
-                       .depth = depth_,
-                       .tid = ring.tid});
 }
 
 std::vector<TraceEvent> trace_snapshot() {
   std::vector<TraceEvent> out;
-  for (const auto& ring : recorder().all()) ring->snapshot(out);
+  for_each_span_ring([&out](const Ring<TraceEvent>& ring) { ring.snapshot(out); });
   std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
     return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.depth < b.depth;
   });
@@ -139,7 +68,7 @@ void write_chrome_trace(std::ostream& out) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events[i];
     if (i > 0) out << ',';
-    // Span names are our own literals: no JSON escaping needed.
+    // Span names are phase names: no JSON escaping needed.
     out << "{\"name\":\"" << ev.name << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
         << ev.tid << ",\"ts\":" << static_cast<double>(ev.start_ns - epoch) / 1e3
         << ",\"dur\":" << static_cast<double>(ev.duration_ns) / 1e3 << '}';
@@ -147,19 +76,13 @@ void write_chrome_trace(std::ostream& out) {
   out << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-std::string chrome_trace_json() {
-  std::ostringstream out;
-  write_chrome_trace(out);
-  return out.str();
-}
-
 void clear_trace() {
-  for (const auto& ring : recorder().all()) ring->clear();
+  for_each_span_ring([](Ring<TraceEvent>& ring) { ring.clear(); });
 }
 
 std::uint64_t trace_dropped_spans() {
   std::uint64_t total = 0;
-  for (const auto& ring : recorder().all()) total += ring->dropped_count();
+  for_each_span_ring([&total](const Ring<TraceEvent>& ring) { total += ring.dropped(); });
   return total;
 }
 

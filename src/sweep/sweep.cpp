@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace rfidsim::sweep {
 
@@ -69,7 +68,6 @@ void SweepEngine::run(std::size_t count,
                       const std::function<void(std::size_t)>& setup,
                       const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
-  const obs::TraceSpan span("sweep.run");
   const bool record = obs::hooks_enabled();
   if (record) {
     sweep_metrics().sweeps.add(1);
@@ -95,7 +93,6 @@ void SweepEngine::run(std::size_t count,
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     pool_->submit([next, count, chunk, lane, &body, record] {
-      const obs::TraceSpan lane_span("sweep.lane");
       std::size_t claimed = 0;
       for (std::size_t base = next->fetch_add(chunk); base < count;
            base = next->fetch_add(chunk)) {
@@ -124,16 +121,8 @@ void parallel_for(std::size_t count, const SweepOptions& options,
 void parallel_for(std::size_t count, const SweepOptions& options,
                   const std::function<void(std::size_t)>& setup,
                   const std::function<void(std::size_t, std::size_t)>& body) {
-  if (options.threads == 0) {
-    shared_engine().run(count, setup, body);
-    return;
-  }
-  if (options.threads == 1 || count <= 1) {
-    setup(1);
-    for (std::size_t i = 0; i < count; ++i) body(i, 0);
-    return;
-  }
-  process_engine(options.threads).run(count, setup, body);
+  process_engine(options.threads == 0 ? hardware_threads() : options.threads)
+      .run(count, setup, body);
 }
 
 }  // namespace rfidsim::sweep

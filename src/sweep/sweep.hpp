@@ -77,12 +77,12 @@ class SweepEngine {
 /// for threads == 0.
 SweepEngine& shared_engine();
 
-/// Runs body over [0, count) with `options.threads` workers. threads == 1
-/// runs every cell inline on the calling thread, in index order. Any other
-/// count runs on the process-wide engine of that many workers (0 = hardware
-/// concurrency): one engine per worker count, started on first use, reused
-/// by every later call and never torn down, so repeated calls spawn no
-/// threads. Preconditions:
+/// Runs body over [0, count) on the process-wide engine of
+/// `options.threads` workers (0 = hardware concurrency): one engine per
+/// worker count, started on first use, reused by every later call and
+/// never torn down, so repeated calls spawn no threads. The 1-thread
+/// engine has no pool: it runs every cell inline on the calling thread, in
+/// index order. Preconditions:
 ///  - cells must not call parallel_for: a nested call on a busy engine
 ///    waits for the task it is running inside and never returns;
 ///  - engines do not survive fork(): a forked child may only call

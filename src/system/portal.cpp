@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rf/link_budget.hpp"
 
 namespace rfidsim::sys {
@@ -313,7 +312,6 @@ constexpr std::uint64_t kFaultStreamLabel = 0xFA1757ULL;
 }  // namespace
 
 EventLog PortalSimulator::run(Rng& rng) {
-  const obs::TraceSpan span("sys.portal.run");
   const obs::prof::ScopedPhase phase(obs::prof::Phase::kPortalSim);
   if (obs::hooks_enabled()) portal_metrics().passes.add(1);
   stats_ = PortalRunStats{};
@@ -371,7 +369,7 @@ obs::PassObservation PortalSimulator::pass_observation(const EventLog& log) cons
 }
 
 EventLog PortalSimulator::run_single_round(double t_s, Rng& rng) {
-  const obs::TraceSpan span("sys.portal.run_single_round");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kPortalSim);
   stats_ = PortalRunStats{};
   stats_.per_reader.resize(readers_.size());
   Rng fault_rng = rng.fork(kFaultStreamLabel);

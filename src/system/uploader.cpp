@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 #include "wire/batch_codec.hpp"
 
 namespace rfidsim::sys {
@@ -87,7 +87,7 @@ EventLog EventUploader::upload(const EventLog& log, Rng& rng) {
 
 std::vector<DeliveredBatch> EventUploader::upload_batches(const EventLog& log,
                                                           Rng& rng) {
-  const obs::TraceSpan span("sys.uploader.upload");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kUpload);
   const UploadStats before = stats_;
   std::size_t attempts_ok = 0, attempts_lost = 0, giveups = 0;
   std::vector<DeliveredBatch> delivered;
@@ -173,7 +173,7 @@ std::vector<DeliveredBatch> EventUploader::upload_batches(const EventLog& log,
 std::vector<DeliveredBatch> EventUploader::upload_wire(
     const EventLog& log, std::uint32_t facility, Rng& rng,
     fault::WireCorruptor* corruptor) {
-  const obs::TraceSpan span("sys.uploader.upload_wire");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kUploadWire);
   const UploadStats before = stats_;
   const WireUploadStats wire_before = wire_stats_;
   std::size_t attempts_ok = 0, attempts_lost = 0;

@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace rfidsim::track {
 
@@ -88,7 +88,7 @@ ResilientIngest::ResilientIngest(IngestConfig config) : config_(std::move(config
 
 IngestReport ResilientIngest::ingest(const sys::EventLog& raw, double window_begin_s,
                                      double window_end_s) const {
-  const obs::TraceSpan span("track.ingest");
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kTrackIngest);
   require(window_end_s >= window_begin_s, "ResilientIngest: inverted pass window");
 
   IngestReport report;

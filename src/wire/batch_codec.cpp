@@ -1,39 +1,28 @@
 #include "wire/batch_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 
 namespace rfidsim::wire {
 
-namespace {
-
-std::uint64_t bits_of(double x) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
-
-double double_of(std::uint64_t u) {
-  double x = 0.0;
-  std::memcpy(&x, &u, sizeof x);
-  return x;
-}
-
-}  // namespace
-
 bool operator==(const EventBatch& a, const EventBatch& b) {
-  if (a.facility != b.facility || bits_of(a.sent_time_s) != bits_of(b.sent_time_s) ||
-      bits_of(a.arrival_time_s) != bits_of(b.arrival_time_s) ||
+  using std::bit_cast;
+  if (a.facility != b.facility ||
+      bit_cast<std::uint64_t>(a.sent_time_s) != bit_cast<std::uint64_t>(b.sent_time_s) ||
+      bit_cast<std::uint64_t>(a.arrival_time_s) !=
+          bit_cast<std::uint64_t>(b.arrival_time_s) ||
       a.events.size() != b.events.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     const sys::ReadEvent& x = a.events[i];
     const sys::ReadEvent& y = b.events[i];
-    if (x.tag != y.tag || bits_of(x.time_s) != bits_of(y.time_s) ||
+    if (x.tag != y.tag ||
+        bit_cast<std::uint64_t>(x.time_s) != bit_cast<std::uint64_t>(y.time_s) ||
         x.reader_index != y.reader_index || x.antenna_index != y.antenna_index ||
-        bits_of(x.rssi.value()) != bits_of(y.rssi.value())) {
+        bit_cast<std::uint64_t>(x.rssi.value()) !=
+            bit_cast<std::uint64_t>(y.rssi.value())) {
       return false;
     }
   }
@@ -44,8 +33,8 @@ std::vector<std::uint8_t> encode_event_batch(const EventBatch& batch) {
   std::vector<std::uint8_t> out;
   out.reserve(16 + batch.events.size() * 12);
   put_varint(out, batch.facility);
-  put_u64le(out, bits_of(batch.sent_time_s));
-  put_u64le(out, bits_of(batch.arrival_time_s));
+  put_u64le(out, std::bit_cast<std::uint64_t>(batch.sent_time_s));
+  put_u64le(out, std::bit_cast<std::uint64_t>(batch.arrival_time_s));
 
   // EPC dictionary: distinct tag ids, ascending, delta-encoded.
   std::vector<std::uint64_t> dict;
@@ -61,15 +50,15 @@ std::vector<std::uint8_t> encode_event_batch(const EventBatch& batch) {
   }
 
   put_varint(out, batch.events.size());
-  std::uint64_t prev_time_bits = bits_of(batch.sent_time_s);
+  std::uint64_t prev_time_bits = std::bit_cast<std::uint64_t>(batch.sent_time_s);
   std::uint64_t prev_rssi_bits = 0;
   for (const sys::ReadEvent& ev : batch.events) {
     const auto it = std::lower_bound(dict.begin(), dict.end(), ev.tag.value);
     put_varint(out, static_cast<std::uint64_t>(it - dict.begin()));
     put_varint(out, ev.reader_index);
     put_varint(out, ev.antenna_index);
-    const std::uint64_t time_bits = bits_of(ev.time_s);
-    const std::uint64_t rssi_bits = bits_of(ev.rssi.value());
+    const std::uint64_t time_bits = std::bit_cast<std::uint64_t>(ev.time_s);
+    const std::uint64_t rssi_bits = std::bit_cast<std::uint64_t>(ev.rssi.value());
     put_varint_signed(out, static_cast<std::int64_t>(time_bits - prev_time_bits));
     put_varint_signed(out, static_cast<std::int64_t>(rssi_bits - prev_rssi_bits));
     prev_time_bits = time_bits;
@@ -91,8 +80,8 @@ std::optional<EventBatch> decode_event_batch(const std::uint8_t* payload,
   batch.facility = static_cast<std::uint32_t>(facility);
   std::uint64_t sent_bits = 0, arrival_bits = 0;
   if (!in.get_u64le(sent_bits) || !in.get_u64le(arrival_bits)) return std::nullopt;
-  batch.sent_time_s = double_of(sent_bits);
-  batch.arrival_time_s = double_of(arrival_bits);
+  batch.sent_time_s = std::bit_cast<double>(sent_bits);
+  batch.arrival_time_s = std::bit_cast<double>(arrival_bits);
 
   std::uint64_t dict_size = 0;
   if (!in.get_varint(dict_size)) return std::nullopt;
@@ -131,8 +120,8 @@ std::optional<EventBatch> decode_event_batch(const std::uint8_t* payload,
     ev.antenna_index = static_cast<std::size_t>(antenna);
     prev_time_bits += static_cast<std::uint64_t>(time_delta);
     prev_rssi_bits += static_cast<std::uint64_t>(rssi_delta);
-    ev.time_s = double_of(prev_time_bits);
-    ev.rssi = DbmPower{double_of(prev_rssi_bits)};
+    ev.time_s = std::bit_cast<double>(prev_time_bits);
+    ev.rssi = DbmPower{std::bit_cast<double>(prev_rssi_bits)};
     batch.events.push_back(ev);
   }
   if (!in.done()) return std::nullopt;  // Trailing bytes: malformed.

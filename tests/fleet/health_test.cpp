@@ -285,7 +285,6 @@ TEST(FleetHealthTest, IngestPassLeavesACompleteProvenanceChain) {
   const bool saved = obs::enabled();
   obs::set_enabled(true);
   obs::provenance_log().clear();
-  obs::clear_flight_recorder();
 
   const track::ObjectRegistry registry = three_object_registry();
   FleetService service(registry);
@@ -299,7 +298,6 @@ TEST(FleetHealthTest, IngestPassLeavesACompleteProvenanceChain) {
 
   const std::vector<obs::ProvenanceRecord> chain = obs::provenance_log().history(id);
   obs::provenance_log().clear();
-  obs::clear_flight_recorder();
   obs::set_enabled(saved);
 #ifdef RFIDSIM_OBS_DISABLED
   EXPECT_TRUE(chain.empty());

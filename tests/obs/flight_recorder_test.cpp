@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -21,26 +22,25 @@
 namespace rfidsim::obs {
 namespace {
 
-/// Under -DRFIDSIM_OBS=OFF flight_record() is compiled down to nothing:
-/// dumps then carry only their meta line. The tests assert that rather
-/// than skipping.
+/// Under -DRFIDSIM_OBS=OFF the provenance log records nothing, so dumps
+/// carry only their meta line. The tests assert that rather than skipping.
 #ifdef RFIDSIM_OBS_DISABLED
 constexpr bool kCompiledOut = true;
 #else
 constexpr bool kCompiledOut = false;
 #endif
 
-/// The recorder is process-wide (per-thread rings, global tallies):
-/// every test starts from a cleared state and restores the obs switch.
+/// A dump is the tail of the process-wide provenance log: every test starts
+/// from a cleared log and restores the obs switch.
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_ = enabled();
     set_enabled(true);
-    clear_flight_recorder();
+    provenance_log().clear();
   }
   void TearDown() override {
-    clear_flight_recorder();
+    provenance_log().clear();
     set_enabled(saved_);
   }
 
@@ -48,67 +48,89 @@ class FlightRecorderTest : public ::testing::Test {
   bool saved_ = false;
 };
 
+void record(std::uint64_t batch_id, BatchHop hop, std::uint64_t value = 0,
+            std::uint32_t facility = kNoFacility, double time_s = -1.0) {
+  provenance_log().record({batch_id, hop, facility, value, time_s});
+}
+
+/// The dump's record lines (the meta line dropped).
+std::vector<std::string> dump_records() {
+  std::ostringstream out;
+  write_flight_dump(out);
+  std::istringstream in(out.str());
+  std::vector<std::string> lines;
+  std::string line;
+  std::getline(in, line);  // Meta.
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
 TEST_F(FlightRecorderTest, RecordsCarrySeqOrderAndPayload) {
-  flight_record("test", "first", 1, 2, 3, 0.5);
-  flight_record("test", "second", 4);
-  const std::vector<FlightRecord> records = flight_snapshot();
+  record(1, BatchHop::kEnqueued, 2, 3, 0.5);
+  record(4, BatchHop::kMerged);
+  const std::vector<std::string> lines = dump_records();
   if (kCompiledOut) {
-    EXPECT_TRUE(records.empty());
-    EXPECT_EQ(flight_recorded(), 0u);
+    EXPECT_TRUE(lines.empty());
     return;
   }
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_LT(records[0].seq, records[1].seq);
-  EXPECT_STREQ(records[0].category, "test");
-  EXPECT_STREQ(records[0].event, "first");
-  EXPECT_EQ(records[0].a, 1u);
-  EXPECT_EQ(records[0].b, 2u);
-  EXPECT_EQ(records[0].c, 3u);
-  EXPECT_EQ(records[0].time_s, 0.5);
-  EXPECT_STREQ(records[1].event, "second");
-  EXPECT_EQ(records[1].time_s, -1.0);  // Default: no simulated time.
-  EXPECT_EQ(flight_recorded(), 2u);
-  EXPECT_EQ(flight_dropped(), 0u);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0],
+            "{\"seq\":0,\"cat\":\"provenance\",\"event\":\"enqueued\",\"a\":1,"
+            "\"b\":2,\"c\":3,\"t_s\":0.500000}");
+  // No facility, no simulated time: the sentinels print as-is.
+  EXPECT_EQ(lines[1],
+            "{\"seq\":1,\"cat\":\"provenance\",\"event\":\"merged\",\"a\":4,"
+            "\"b\":0,\"c\":4294967295,\"t_s\":-1.000000}");
 }
 
 TEST_F(FlightRecorderTest, RingWrapKeepsNewestAndTalliesDrops) {
-  for (std::uint64_t i = 0; i < kFlightRingCapacity + 7; ++i) {
-    flight_record("test", "flood", i);
-  }
+  // Overflow the provenance ring itself by seven records: the meta line
+  // carries its tallies, and the dump its newest kFlightDumpRecords records
+  // with their stream positions.
+  const std::uint64_t total = kProvenanceLogCapacity + 7;
+  for (std::uint64_t i = 0; i < total; ++i) record(i + 1, BatchHop::kEnqueued, i);
+  std::ostringstream out;
+  write_flight_dump(out, "wrap");
+  const std::string dump = out.str();
   if (kCompiledOut) {
-    EXPECT_EQ(flight_dropped(), 0u);
+    EXPECT_EQ(dump.find("\"seq\""), std::string::npos);
     return;
   }
-  EXPECT_EQ(flight_recorded(), kFlightRingCapacity + 7);
-  EXPECT_EQ(flight_dropped(), 7u);
-  const std::vector<FlightRecord> records = flight_snapshot();
-  ASSERT_EQ(records.size(), kFlightRingCapacity);
-  EXPECT_EQ(records.front().a, 7u);  // 0..6 were overwritten.
-  EXPECT_EQ(records.back().a, kFlightRingCapacity + 6);
+  EXPECT_EQ(dump.substr(0, dump.find('\n')),
+            "{\"flight_recorder\":\"rfidsim\",\"reason\":\"wrap\",\"recorded\":" +
+                std::to_string(total) + ",\"dropped\":7}");
+  const std::vector<std::string> lines = dump_records();
+  ASSERT_EQ(lines.size(), kFlightDumpRecords);
+  const std::uint64_t first = total - kFlightDumpRecords;
+  EXPECT_EQ(lines.front().find("{\"seq\":" + std::to_string(first) + ","), 0u);
+  EXPECT_NE(lines.front().find(",\"b\":" + std::to_string(first) + ","),
+            std::string::npos);
+  EXPECT_EQ(lines.back().find("{\"seq\":" + std::to_string(total - 1) + ","), 0u);
 }
 
-TEST_F(FlightRecorderTest, ThreadsGetOwnRingsAndMergeInSeqOrder) {
-  flight_record("test", "main-before");
-  std::thread worker([] { flight_record("test", "worker"); });
+TEST_F(FlightRecorderTest, ThreadsShareOneStreamInSeqOrder) {
+  record(1, BatchHop::kEnqueued);
+  std::thread worker([] { record(2, BatchHop::kDelivered); });
   worker.join();
-  flight_record("test", "main-after");
-  const std::vector<FlightRecord> records = flight_snapshot();
+  record(3, BatchHop::kMerged);
+  const std::vector<std::string> lines = dump_records();
   if (kCompiledOut) {
-    EXPECT_TRUE(records.empty());
+    EXPECT_TRUE(lines.empty());
     return;
   }
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_STREQ(records[0].event, "main-before");
-  EXPECT_STREQ(records[1].event, "worker");
-  EXPECT_STREQ(records[2].event, "main-after");
-  EXPECT_NE(records[1].tid, records[0].tid);
-  EXPECT_EQ(records[2].tid, records[0].tid);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"seq\":0,\"cat\":\"provenance\",\"event\":\"enqueued\""),
+            std::string::npos);
+  EXPECT_NE(lines[1].find("\"seq\":1,\"cat\":\"provenance\",\"event\":\"delivered\""),
+            std::string::npos);
+  EXPECT_NE(lines[2].find("\"seq\":2,\"cat\":\"provenance\",\"event\":\"merged\""),
+            std::string::npos);
 }
 
 // Golden dump schema: meta line first, then one JSON object per record —
 // EXPERIMENTS.md documents exactly this.
 TEST_F(FlightRecorderTest, DumpIsMetaLinePlusJsonlRecords) {
-  flight_record("provenance", "merged", 11, 22, 33, 1.5);
+  record(11, BatchHop::kMerged, 22, 33, 1.5);
   std::ostringstream out;
   write_flight_dump(out, "unit-test");
   const std::string dump = out.str();
@@ -118,16 +140,15 @@ TEST_F(FlightRecorderTest, DumpIsMetaLinePlusJsonlRecords) {
               "\"recorded\":0,\"dropped\":0}\n");
     return;
   }
-  EXPECT_NE(dump.find("{\"flight_recorder\":\"rfidsim\",\"reason\":\"unit-test\","
-                      "\"recorded\":1,\"dropped\":0}\n"),
-            std::string::npos);
-  EXPECT_NE(dump.find("\"cat\":\"provenance\",\"event\":\"merged\",\"a\":11,"
-                      "\"b\":22,\"c\":33,\"t_s\":1.500000,"),
-            std::string::npos);
+  EXPECT_EQ(dump,
+            "{\"flight_recorder\":\"rfidsim\",\"reason\":\"unit-test\","
+            "\"recorded\":1,\"dropped\":0}\n"
+            "{\"seq\":0,\"cat\":\"provenance\",\"event\":\"merged\",\"a\":11,"
+            "\"b\":22,\"c\":33,\"t_s\":1.500000}\n");
 }
 
 TEST_F(FlightRecorderTest, ExplicitDumpLandsAtomicallyOnDisk) {
-  flight_record("test", "persisted", 99);
+  record(99, BatchHop::kCheckpointed, 5);
   const std::string path = ::testing::TempDir() + "rfidsim_flight_dump_test.jsonl";
   ASSERT_TRUE(dump_flight_recorder(path));
   std::ifstream in(path);
@@ -151,22 +172,24 @@ TEST_F(FlightRecorderTest, ExplicitDumpLandsAtomicallyOnDisk) {
 }
 
 TEST_F(FlightRecorderTest, ClearZeroesRecordsAndTallies) {
-  for (std::uint64_t i = 0; i < kFlightRingCapacity + 3; ++i) {
-    flight_record("test", "gone", i);
+  for (std::uint64_t i = 0; i < kFlightDumpRecords + 3; ++i) {
+    record(i + 1, BatchHop::kEnqueued);
   }
-  clear_flight_recorder();
-  EXPECT_TRUE(flight_snapshot().empty());
-  EXPECT_EQ(flight_recorded(), 0u);
-  EXPECT_EQ(flight_dropped(), 0u);
-  flight_record("test", "back");
-  EXPECT_EQ(flight_snapshot().size(), kCompiledOut ? 0u : 1u);
+  provenance_log().clear();
+  std::ostringstream out;
+  write_flight_dump(out, "cleared");
+  EXPECT_EQ(out.str(),
+            "{\"flight_recorder\":\"rfidsim\",\"reason\":\"cleared\","
+            "\"recorded\":0,\"dropped\":0}\n");
+  record(1, BatchHop::kLost);
+  EXPECT_EQ(dump_records().size(), kCompiledOut ? 0u : 1u);
 }
 
 TEST_F(FlightRecorderTest, DisabledHooksRecordNothing) {
   set_enabled(false);
-  flight_record("test", "invisible");
-  EXPECT_TRUE(flight_snapshot().empty());
-  EXPECT_EQ(flight_recorded(), 0u);
+  record(1, BatchHop::kEnqueued);
+  EXPECT_TRUE(dump_records().empty());
+  EXPECT_EQ(provenance_log().recorded(), 0u);
 }
 
 #if (defined(__unix__) || defined(__APPLE__)) && !defined(__SANITIZE_THREAD__)
@@ -182,7 +205,7 @@ TEST_F(FlightRecorderTest, CrashHandlerDumpsOnFatalSignal) {
   ASSERT_NE(pid, -1);
   if (pid == 0) {
     if (!install_crash_handler(path)) _Exit(10);
-    flight_record("test", "pre-crash", 7);
+    record(7, BatchHop::kQuarantined, 3);
     std::raise(SIGABRT);
     _Exit(11);  // Unreachable: the handler re-raises with default disposition.
   }
@@ -199,7 +222,9 @@ TEST_F(FlightRecorderTest, CrashHandlerDumpsOnFatalSignal) {
   bool saw_record = false;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.find("\"event\":\"pre-crash\"") != std::string::npos) saw_record = true;
+    if (line.find("\"event\":\"quarantined\",\"a\":7,") != std::string::npos) {
+      saw_record = true;
+    }
   }
   EXPECT_EQ(saw_record, !kCompiledOut);
   std::remove(path.c_str());

@@ -23,9 +23,13 @@
 #include <thread>
 #include <vector>
 
+#include "fleet/checkpoint.hpp"
+#include "fleet/service.hpp"
 #include "fleet/store.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/thread_pool.hpp"
+#include "track/manifest.hpp"
+#include "track/registry.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -53,9 +57,11 @@ constexpr bool kCompiledOut = false;
 #endif
 
 constexpr std::array<Phase, kPhaseCount> kAllPhases = {
-    Phase::kPathEval,      Phase::kPortalSim,  Phase::kGen2Inventory,
-    Phase::kEventLogAppend, Phase::kStoreRoute, Phase::kStoreMerge,
-    Phase::kGen2Fusion,
+    Phase::kPathEval,        Phase::kPortalSim,     Phase::kGen2Inventory,
+    Phase::kEventLogAppend,  Phase::kStoreRoute,    Phase::kStoreMerge,
+    Phase::kGen2Fusion,      Phase::kFeedPass,      Phase::kStoreIngest,
+    Phase::kCheckpointWrite, Phase::kCheckpointRestore, Phase::kQueryMissing,
+    Phase::kUpload,          Phase::kUploadWire,    Phase::kTrackIngest,
 };
 
 /// Saves and restores the global obs + attribution switches around a test.
@@ -90,6 +96,14 @@ TEST(ProfPhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(phase_name(Phase::kStoreRoute), "store_route");
   EXPECT_STREQ(phase_name(Phase::kStoreMerge), "store_merge");
   EXPECT_STREQ(phase_name(Phase::kGen2Fusion), "gen2_fusion");
+  EXPECT_STREQ(phase_name(Phase::kFeedPass), "feed_pass");
+  EXPECT_STREQ(phase_name(Phase::kStoreIngest), "store_ingest");
+  EXPECT_STREQ(phase_name(Phase::kCheckpointWrite), "checkpoint_write");
+  EXPECT_STREQ(phase_name(Phase::kCheckpointRestore), "checkpoint_restore");
+  EXPECT_STREQ(phase_name(Phase::kQueryMissing), "query_missing");
+  EXPECT_STREQ(phase_name(Phase::kUpload), "upload");
+  EXPECT_STREQ(phase_name(Phase::kUploadWire), "upload_wire");
+  EXPECT_STREQ(phase_name(Phase::kTrackIngest), "track_ingest");
 }
 
 TEST(ProfPhaseTest, EnvModeProfRequestsProfiling) {
@@ -171,6 +185,25 @@ std::vector<fleet::FacilityBatch> tiny_batches() {
   return batches;
 }
 
+/// One clean pass of `tags`, each read twice by each of two readers.
+sys::EventLog tiny_pass(const std::vector<std::uint64_t>& tags, double begin_s) {
+  sys::EventLog log;
+  double t = begin_s + 0.1;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const std::uint64_t tag : tags) {
+      for (std::size_t reader = 0; reader < 2; ++reader) {
+        sys::ReadEvent ev;
+        ev.time_s = t;
+        ev.tag = scene::TagId{tag};
+        ev.reader_index = reader;
+        log.push_back(ev);
+        t += 0.5;
+      }
+    }
+  }
+  return log;
+}
+
 TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
   obs::set_enabled(true);
   set_attribution_enabled(true);
@@ -182,6 +215,34 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
     const std::vector<fleet::FacilityBatch> batches = tiny_batches();
     store.ingest(batches);
     for (const fleet::FacilityBatch& batch : batches) store.ingest(batch);
+
+    // The fleet path on a store of the same thread count: feed passes
+    // (upload, track ingest, store ingest), a checkpoint round trip and a
+    // manifest reconciliation.
+    track::ObjectRegistry registry;
+    track::Manifest manifest;
+    for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+      const track::ObjectId object = registry.add_object("obj");
+      registry.bind_tag(scene::TagId{tag}, object);
+      manifest.expected.insert(object);
+    }
+    fleet::FleetService service(registry, config);
+    fleet::FeedConfig feed;
+    feed.ingest.reader_count = 2;
+    feed.objects_total = 3;
+    const fleet::FacilityId facility = service.add_facility(feed);
+    Rng rng(7);
+    for (int pass = 0; pass < 3; ++pass) {
+      const double begin_s = 10.0 * pass;
+      service.ingest_pass(facility, tiny_pass({1, 2, 3}, begin_s), begin_s,
+                          begin_s + 10.0, rng);
+    }
+    fleet::Checkpointer checkpointer;
+    const std::vector<std::uint8_t> snapshot = checkpointer.full(service.store());
+    const fleet::TrackingStore restored = fleet::restore_checkpoint(snapshot, threads);
+    EXPECT_EQ(restored.digest(), service.store().digest());
+    service.query().missing(manifest, facility, 20.0, 30.0);
+
     std::array<std::uint64_t, kPhaseCount> calls{};
     for (std::size_t i = 0; i < kPhaseCount; ++i) {
       calls[i] = phase_totals(kAllPhases[i]).calls;
@@ -195,12 +256,23 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
   // profiler's own samples, when active, live in a separate ring and never
   // feed these counters.)
   EXPECT_EQ(serial, parallel);
+  const auto at = [&serial](Phase phase) {
+    return serial[static_cast<std::size_t>(phase)];
+  };
   if (!kCompiledOut) {
-    // 1 bulk ingest + 20 single-batch ingests, one route + one merge each.
-    EXPECT_EQ(serial[static_cast<std::size_t>(Phase::kStoreRoute)], 21u);
-    EXPECT_EQ(serial[static_cast<std::size_t>(Phase::kStoreMerge)], 21u);
+    // 1 bulk ingest + 20 single-batch ingests, plus one store ingest per
+    // feed pass; one route + one merge each.
+    EXPECT_EQ(at(Phase::kStoreIngest), 24u);
+    EXPECT_EQ(at(Phase::kStoreRoute), 24u);
+    EXPECT_EQ(at(Phase::kStoreMerge), 24u);
+    EXPECT_EQ(at(Phase::kFeedPass), 3u);
+    EXPECT_EQ(at(Phase::kUploadWire), 3u);
+    EXPECT_EQ(at(Phase::kTrackIngest), 3u);
+    EXPECT_EQ(at(Phase::kCheckpointWrite), 1u);
+    EXPECT_EQ(at(Phase::kCheckpointRestore), 1u);
+    EXPECT_EQ(at(Phase::kQueryMissing), 1u);
   } else {
-    EXPECT_EQ(serial[static_cast<std::size_t>(Phase::kStoreRoute)], 0u);
+    for (const std::uint64_t calls : serial) EXPECT_EQ(calls, 0u);
   }
 }
 
@@ -355,9 +427,6 @@ TEST_F(ProfTest, LiveSamplingCapturesStacksUnderLoad) {
   std::ostringstream folded;
   write_folded(folded);
   EXPECT_FALSE(folded.str().empty());
-  std::ostringstream trace;
-  write_profile_chrome_trace(trace);
-  EXPECT_EQ(trace.str().front(), '[');
   clear_profile();
   EXPECT_TRUE(samples_snapshot().empty());
 }

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 namespace rfidsim::obs {
@@ -24,19 +23,14 @@ constexpr bool kCompiledOut = false;
 #endif
 
 /// Recording tests need hooks on (and restored afterwards — the switch is
-/// process-wide); records mirror into the flight recorder, so that is
-/// cleared too.
+/// process-wide).
 class ProvenanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_ = enabled();
     set_enabled(true);
-    clear_flight_recorder();
   }
-  void TearDown() override {
-    clear_flight_recorder();
-    set_enabled(saved_);
-  }
+  void TearDown() override { set_enabled(saved_); }
 
  private:
   bool saved_ = false;
@@ -106,24 +100,6 @@ TEST_F(ProvenanceTest, RingWrapKeepsNewestAndTalliesDrops) {
   EXPECT_EQ(kept.back().value, 10u);
 }
 
-TEST_F(ProvenanceTest, RecordsMirrorIntoTheFlightRecorder) {
-  ProvenanceLog log(8);
-  const std::uint64_t id = provenance_batch_id(3, 9);
-  log.record({id, BatchHop::kMerged, 3, 42, 2.0});
-  const std::vector<FlightRecord> flight = flight_snapshot();
-  if (kCompiledOut) {
-    EXPECT_TRUE(flight.empty());
-    return;
-  }
-  ASSERT_EQ(flight.size(), 1u);
-  EXPECT_STREQ(flight[0].category, "provenance");
-  EXPECT_STREQ(flight[0].event, "merged");
-  EXPECT_EQ(flight[0].a, id);
-  EXPECT_EQ(flight[0].b, 42u);
-  EXPECT_EQ(flight[0].c, 3u);
-  EXPECT_EQ(flight[0].time_s, 2.0);
-}
-
 // Golden JSONL schema (one object per line, kNoFacility as -1, fixed
 // six-decimal times) — EXPERIMENTS.md documents exactly this.
 TEST_F(ProvenanceTest, JsonlSchemaGolden) {
@@ -143,35 +119,12 @@ TEST_F(ProvenanceTest, JsonlSchemaGolden) {
             "\"value\":5,\"t_s\":-1.000000}\n");
 }
 
-TEST_F(ProvenanceTest, ChromeTraceInstantEventsOnTheSimTimeAxis) {
-  ProvenanceLog log(8);
-  log.record({9, BatchHop::kDelivered, 4, 10, 0.0015});
-  log.record({9, BatchHop::kCheckpointed, kNoFacility, 3, -1.0});
-  std::ostringstream out;
-  log.write_chrome_trace(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  if (kCompiledOut) {
-    EXPECT_EQ(json.find("\"ph\":\"i\""), std::string::npos);
-    return;
-  }
-  // ts is simulated time in microseconds; tid the facility.
-  EXPECT_NE(json.find("{\"name\":\"delivered\",\"ph\":\"i\",\"s\":\"t\","
-                      "\"pid\":0,\"tid\":4,\"ts\":1500.000,"
-                      "\"args\":{\"batch_id\":9,\"value\":10}}"),
-            std::string::npos);
-  // No-facility hops park on tid 0xffff with ts clamped at 0.
-  EXPECT_NE(json.find("\"tid\":65535,\"ts\":0.000"), std::string::npos);
-}
-
 TEST_F(ProvenanceTest, DisabledHooksRecordNothing) {
   set_enabled(false);
   ProvenanceLog log(8);
   log.record({1, BatchHop::kEnqueued, 0, 1, 0.0});
   EXPECT_EQ(log.recorded(), 0u);
   EXPECT_TRUE(log.snapshot().empty());
-  EXPECT_TRUE(flight_snapshot().empty());
 }
 
 TEST_F(ProvenanceTest, ClearDiscardsRecordsAndTheLogKeepsWorking) {

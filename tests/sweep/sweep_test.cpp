@@ -10,14 +10,23 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/attribution.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/thread_pool.hpp"
 
 namespace rfidsim::sweep {
 namespace {
+
+#ifdef RFIDSIM_OBS_DISABLED
+constexpr bool kCompiledOut = true;
+#else
+constexpr bool kCompiledOut = false;
+#endif
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
@@ -178,19 +187,54 @@ TEST(ParallelForTest, LaneCountNeverExceedsCellCount) {
 
 TEST(ParallelForTest, RepeatedCallsReuseOneSetOfWorkers) {
   // Every parallel_for(threads = 2) runs on the same process-wide workers.
-  // Each thread that records a span registers its own trace ring (tid), so
+  // Each thread that records a span registers once with obs (its tid), so
   // spans from more tids than the caller plus two lanes mean calls spawned
   // fresh threads — whose per-thread obs state is never released.
-  const bool saved = obs::trace_enabled();
+  const bool saved_metrics = obs::enabled();
+  const bool saved_trace = obs::trace_enabled();
+  obs::set_enabled(true);
   obs::set_trace_enabled(true);
   obs::clear_trace();
   for (int call = 0; call < 200; ++call) {
-    parallel_for(4, SweepOptions{.threads = 2}, [](std::size_t) {});
+    parallel_for(4, SweepOptions{.threads = 2}, [](std::size_t) {
+      const obs::prof::ScopedPhase phase(obs::prof::Phase::kPortalSim);
+    });
   }
+  const std::vector<obs::TraceEvent> events = obs::trace_snapshot();
+  obs::clear_trace();
+  obs::set_trace_enabled(saved_trace);
+  obs::set_enabled(saved_metrics);
+  if (kCompiledOut) {
+    EXPECT_TRUE(events.empty());
+    return;
+  }
+  ASSERT_FALSE(events.empty()) << "no span recorded: the tid bound would be vacuous";
   std::set<std::uint32_t> tids;
-  for (const obs::TraceEvent& event : obs::trace_snapshot()) tids.insert(event.tid);
-  obs::set_trace_enabled(saved);
+  for (const obs::TraceEvent& event : events) tids.insert(event.tid);
   EXPECT_LE(tids.size(), 3u);
+}
+
+TEST(ParallelForTest, EveryThreadCountTalliesSweepsAndCells) {
+  // 1-thread and 1-cell calls run on an engine too, so the sweep counters
+  // describe the workload, not the thread count it happened to run at.
+  const bool saved = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& sweeps = obs::counter("sweep.sweeps");
+  const obs::Counter& cells = obs::counter("sweep.cells");
+  const auto tally = [&](std::size_t count, std::size_t threads) {
+    const std::uint64_t sweeps_before = sweeps.value();
+    const std::uint64_t cells_before = cells.value();
+    parallel_for(count, SweepOptions{.threads = threads}, [](std::size_t) {});
+    return std::pair{sweeps.value() - sweeps_before, cells.value() - cells_before};
+  };
+  for (const std::size_t count : {1u, 5u}) {
+    const auto serial = tally(count, 1);
+    EXPECT_EQ(serial, tally(count, 2)) << count << " cells";
+    const std::uint64_t expected_sweeps = kCompiledOut ? 0 : 1;
+    const std::uint64_t expected_cells = kCompiledOut ? 0 : count;
+    EXPECT_EQ(serial, std::pair(expected_sweeps, expected_cells)) << count << " cells";
+  }
+  obs::set_enabled(saved);
 }
 
 TEST(SweepEngineTest, SingleThreadEngineHasNoPool) {
