@@ -129,7 +129,7 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
 
   // Per-batch validation: the same record rules ingest() applies, so the
   // store only ever sees plausible sightings. On-time batches additionally
-  // feed the pass-level union below.
+  // feed the pass-level union below, which therefore skips validation.
   sys::EventLog on_time;
   const bool hooked = obs::hooks_enabled();
   for (sys::DeliveredBatch& db : delivered) {
@@ -138,15 +138,18 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
     batch.sent_time_s = db.sent_time_s;
     batch.arrival_time_s = db.arrival_time_s;
     batch.batch_id = db.batch_id;
-    batch.events.reserve(db.events.size());
-    for (const sys::ReadEvent& ev : db.events) {
+    batch.events = std::move(db.events);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < batch.events.size(); ++i) {
+      const sys::ReadEvent& ev = batch.events[i];
       if (!track::validate_event(ev, config_.ingest, window_begin_s, window_end_s)) {
         ++result.quarantined;
         continue;
       }
-      batch.events.push_back(ev);
       result.max_event_time_s = std::max(result.max_event_time_s, ev.time_s);
+      batch.events[kept++] = ev;
     }
+    batch.events.resize(kept);
     if (batch.events.empty()) continue;
     if (hooked && batch.batch_id != 0) {
       obs::provenance_log().record({batch.batch_id, obs::BatchHop::kValidated,
@@ -180,7 +183,7 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   // then one monitor observation. A reader whose batches all slid past the
   // window end looks silent here — deliberately: that is the latency
   // degradation the confidence model must reflect.
-  result.report = ingest_.ingest(on_time, window_begin_s, window_end_s);
+  result.report = ingest_.ingest_validated(std::move(on_time), window_begin_s, window_end_s);
   last_degraded_ = result.report.degraded_readers;
   monitor_.observe_pass(track::monitor_observation(
       result.report, config_.ingest.reader_count, config_.objects_total,

@@ -303,6 +303,7 @@ void TrackingStore::restore_shard(
 }
 
 std::uint64_t TrackingStore::digest() const {
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kStoreDigest);
   // Gather (epc, timeline) across shards, walk in ascending-EPC order so
   // the digest is independent of shard count and assignment.
   std::vector<std::pair<std::uint64_t, const std::vector<Sighting>*>> all;

@@ -75,6 +75,8 @@ const char* phase_name(Phase phase) {
     case Phase::kUpload: return "upload";
     case Phase::kUploadWire: return "upload_wire";
     case Phase::kTrackIngest: return "track_ingest";
+    case Phase::kStoreDigest: return "store_digest";
+    case Phase::kWireCodec: return "wire_codec";
   }
   return "unknown";
 }

@@ -57,9 +57,11 @@ enum class Phase : std::uint8_t {
   kQueryMissing = 11,  ///< QueryService::missing.
   kUpload = 12,        ///< EventUploader::upload_batches.
   kUploadWire = 13,    ///< EventUploader::upload_wire.
-  kTrackIngest = 14,   ///< ResilientIngest::ingest.
+  kTrackIngest = 14,   ///< ResilientIngest::ingest / ingest_validated.
+  kStoreDigest = 15,   ///< TrackingStore::digest.
+  kWireCodec = 16,     ///< upload_wire's frame encode and each strict decode.
 };
-inline constexpr std::size_t kPhaseCount = 15;
+inline constexpr std::size_t kPhaseCount = 17;
 
 /// Stable lower-snake name ("path_eval", "portal_sim", ...).
 const char* phase_name(Phase phase);

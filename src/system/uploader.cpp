@@ -226,8 +226,10 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
       sent_batch.arrival_time_s = 0.0;  // Stamped by the receiver (below).
       sent_batch.events.assign(log.begin() + static_cast<std::ptrdiff_t>(begin),
                                log.begin() + static_cast<std::ptrdiff_t>(end));
-      const std::vector<std::uint8_t> frame =
-          wire::encode_event_batch_frame(sent_batch);
+      const std::vector<std::uint8_t> frame = [&sent_batch] {
+        const obs::prof::ScopedPhase codec(obs::prof::Phase::kWireCodec);
+        return wire::encode_event_batch_frame(sent_batch);
+      }();
       if (obs::hooks_enabled()) {
         obs::provenance_log().record({batch_id, obs::BatchHop::kEncoded, facility,
                                       frame.size(), sent_s});
@@ -252,7 +254,14 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
           corruptor->corrupt_frame(damaged, rng);
           received_bytes = &damaged;
         }
-        const wire::DecodeResult result = wire::next_frame(*received_bytes, 0);
+        // Strict decode: the envelope, then the payload.
+        wire::DecodeResult result;
+        std::optional<wire::EventBatch> decoded;
+        {
+          const obs::prof::ScopedPhase codec(obs::prof::Phase::kWireCodec);
+          result = wire::next_frame(*received_bytes, 0);
+          if (result.ok) decoded = wire::decode_event_batch(result.frame);
+        }
         if (!result.ok) {
           ++wire_stats_.corrupt_frames;
           ++wire_stats_.corrupt_by_kind[static_cast<std::size_t>(result.error)];
@@ -263,8 +272,6 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
           }
           continue;
         }
-        std::optional<wire::EventBatch> decoded =
-            wire::decode_event_batch(result.frame);
         if (!decoded.has_value()) {
           ++wire_stats_.corrupt_frames;
           ++wire_stats_.corrupt_by_kind[static_cast<std::size_t>(

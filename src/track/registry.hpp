@@ -48,10 +48,24 @@ class ObjectRegistry {
   const std::vector<ObjectId>& objects() const { return order_; }
 
   std::size_t object_count() const { return order_.size(); }
-  std::size_t tag_count() const { return tag_to_object_.size(); }
+  std::size_t tag_count() const { return tag_count_; }
 
  private:
-  std::unordered_map<scene::TagId, ObjectId> tag_to_object_;
+  /// One slot of the tag index; object 0 marks an empty slot (ids start
+  /// at 1), so every tag id, 0 included, stays bindable.
+  struct TagSlot {
+    std::uint64_t tag = 0;
+    std::uint64_t object = 0;
+  };
+  /// Slot `tag` occupies, or the empty slot where it would go.
+  std::size_t probe(std::uint64_t tag) const;
+  void rehash(std::size_t capacity);
+
+  /// Open-addressing tag -> object index: power-of-two capacity, SplitMix64
+  /// home slot, linear probing, load <= 0.7 — TrackingStore's shard-index
+  /// scheme, so a lookup reads one flat array instead of chasing a node.
+  std::vector<TagSlot> tag_index_;
+  std::size_t tag_count_ = 0;
   std::unordered_map<std::uint64_t, std::string> names_;
   std::unordered_map<std::uint64_t, std::vector<scene::TagId>> object_tags_;
   std::vector<ObjectId> order_;

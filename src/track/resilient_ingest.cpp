@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <set>
+#include <numeric>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,12 +16,21 @@ namespace rfidsim::track {
 
 namespace {
 
-/// Per-(tag, reader, antenna) key for transport-duplicate collapsing.
-struct StreamKey {
+/// One read's (tag, reader, antenna) stream and its rank in time order,
+/// for transport-duplicate collapsing. Ordering by stream, then rank,
+/// keeps each stream's reads in time order.
+struct StreamRead {
   std::uint64_t tag;
   std::size_t reader;
   std::size_t antenna;
-  auto operator<=>(const StreamKey&) const = default;
+  std::size_t rank;
+
+  bool operator<(const StreamRead& o) const {
+    return std::tie(tag, reader, antenna, rank) < std::tie(o.tag, o.reader, o.antenna, o.rank);
+  }
+  bool same_stream(const StreamRead& o) const {
+    return tag == o.tag && reader == o.reader && antenna == o.antenna;
+  }
 };
 
 /// Ingest registry hooks: one aggregate add per digested pass.
@@ -89,81 +98,109 @@ ResilientIngest::ResilientIngest(IngestConfig config) : config_(std::move(config
 IngestReport ResilientIngest::ingest(const sys::EventLog& raw, double window_begin_s,
                                      double window_end_s) const {
   const obs::prof::ScopedPhase phase(obs::prof::Phase::kTrackIngest);
-  require(window_end_s >= window_begin_s, "ResilientIngest: inverted pass window");
-
+  // Pass 1 — validate each record on its own (validate_event holds the
+  // rules).
   IngestReport report;
-  auto quarantine = [&report](const std::string& reason) {
+  sys::EventLog valid;
+  valid.reserve(raw.size());
+  std::string reason;
+  for (const sys::ReadEvent& ev : raw) {
+    if (validate_event(ev, config_, window_begin_s, window_end_s, &reason)) {
+      valid.push_back(ev);
+      continue;
+    }
     ++report.quarantined;
     if (report.quarantine_samples.size() < IngestReport::kMaxQuarantineSamples) {
       report.quarantine_samples.push_back(reason);
     }
-  };
+  }
+  return finish(std::move(report), std::move(valid), window_begin_s, window_end_s);
+}
 
-  // Pass 1 — validate each record on its own (validate_event holds the
-  // rules); count arrival-order inversions against the highest valid time
-  // seen so far.
-  sys::EventLog valid;
-  valid.reserve(raw.size());
+IngestReport ResilientIngest::ingest_validated(sys::EventLog valid, double window_begin_s,
+                                               double window_end_s) const {
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kTrackIngest);
+  return finish(IngestReport{}, std::move(valid), window_begin_s, window_end_s);
+}
+
+IngestReport ResilientIngest::finish(IngestReport report, sys::EventLog valid,
+                                     double window_begin_s, double window_end_s) const {
+  require(window_end_s >= window_begin_s, "ResilientIngest: inverted pass window");
+
+  // Count arrival-order inversions against the highest time seen so far.
+  // None means the records already arrived in time order.
   double high_water = -std::numeric_limits<double>::infinity();
-  std::string reason;
-  for (const sys::ReadEvent& ev : raw) {
-    if (!validate_event(ev, config_, window_begin_s, window_end_s, &reason)) {
-      quarantine(reason);
-      continue;
-    }
+  for (const sys::ReadEvent& ev : valid) {
     if (ev.time_s < high_water) ++report.reordered;
     high_water = std::max(high_water, ev.time_s);
-    valid.push_back(ev);
   }
 
-  // Pass 2 — restore chronological order, then collapse transport
-  // duplicates per (tag, reader, antenna) stream.
-  std::stable_sort(valid.begin(), valid.end(),
-                   [](const sys::ReadEvent& a, const sys::ReadEvent& b) {
-                     return a.time_s < b.time_s;
-                   });
-  std::map<StreamKey, double> last_accepted;
-  for (const sys::ReadEvent& ev : valid) {
-    const StreamKey key{ev.tag.value, ev.reader_index, ev.antenna_index};
-    const auto it = last_accepted.find(key);
-    if (it != last_accepted.end() && ev.time_s - it->second <= config_.dedup_window_s) {
+  // Pass 2 — restore chronological order: rank the records by (time,
+  // arrival position), a stable sort by time.
+  const std::size_t n = valid.size();
+  std::vector<std::pair<double, std::size_t>> by_time(n);
+  for (std::size_t i = 0; i < n; ++i) by_time[i] = {valid[i].time_s, i};
+  if (report.reordered > 0) std::sort(by_time.begin(), by_time.end());
+
+  // Then collapse transport duplicates per (tag, reader, antenna) stream.
+  // Grouped by stream, rank order keeps each stream in time order; a read
+  // is a duplicate iff it lies within the window of its stream's last
+  // *accepted* read.
+  std::vector<StreamRead> streams(n);
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    const sys::ReadEvent& ev = valid[by_time[rank].second];
+    streams[rank] = {ev.tag.value, ev.reader_index, ev.antenna_index, rank};
+  }
+  std::sort(streams.begin(), streams.end());
+  std::vector<std::uint8_t> duplicate(n, 0);
+  double last_accepted = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = by_time[streams[i].rank].first;
+    if (i > 0 && streams[i].same_stream(streams[i - 1]) &&
+        t - last_accepted <= config_.dedup_window_s) {
+      duplicate[streams[i].rank] = 1;
       ++report.duplicates;
       continue;
     }
-    last_accepted[key] = ev.time_s;
-    report.events.push_back(ev);
+    last_accepted = t;
+  }
+  report.events.reserve(n - report.duplicates);
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    if (duplicate[rank] == 0) report.events.push_back(valid[by_time[rank].second]);
   }
   report.accepted = report.events.size();
 
   // Pass 3 — per-reader silence scan over the accepted stream. A reader
-  // we know exists (reader_count set) that never speaks is one long gap.
-  const std::size_t reader_count =
-      config_.reader_count > 0
-          ? config_.reader_count
-          : (report.events.empty()
-                 ? 0
-                 : 1 + std::max_element(report.events.begin(), report.events.end(),
-                                        [](const auto& a, const auto& b) {
-                                          return a.reader_index < b.reader_index;
-                                        })
-                           ->reader_index);
-  std::vector<std::vector<double>> times(reader_count);
+  // we know exists (reader_count set) that never speaks is one long gap;
+  // with the roster unknown, only the readers that spoke are scanned.
+  std::vector<std::size_t> roster;
+  if (config_.reader_count > 0) {
+    roster.resize(config_.reader_count);
+    std::iota(roster.begin(), roster.end(), std::size_t{0});
+  } else {
+    for (const sys::ReadEvent& ev : report.events) roster.push_back(ev.reader_index);
+    std::sort(roster.begin(), roster.end());
+    roster.erase(std::unique(roster.begin(), roster.end()), roster.end());
+  }
+  std::vector<double> cursor(roster.size(), window_begin_s);
   for (const sys::ReadEvent& ev : report.events) {
-    times[ev.reader_index].push_back(ev.time_s);
-  }
-  for (std::size_t r = 0; r < reader_count; ++r) {
-    double cursor = window_begin_s;
-    for (double t : times[r]) {
-      if (t - cursor > config_.silence_gap_s) {
-        report.gaps.push_back({r, cursor, t, false});
-      }
-      cursor = t;
+    const auto it = std::lower_bound(roster.begin(), roster.end(), ev.reader_index);
+    if (it == roster.end() || *it != ev.reader_index) continue;
+    double& last = cursor[static_cast<std::size_t>(it - roster.begin())];
+    if (ev.time_s - last > config_.silence_gap_s) {
+      report.gaps.push_back({ev.reader_index, last, ev.time_s, false});
     }
-    if (window_end_s - cursor > config_.silence_gap_s) {
-      report.gaps.push_back({r, cursor, window_end_s, true});
-      report.degraded_readers.push_back(r);
+    last = ev.time_s;
+  }
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    if (window_end_s - cursor[i] > config_.silence_gap_s) {
+      report.gaps.push_back({roster[i], cursor[i], window_end_s, true});
+      report.degraded_readers.push_back(roster[i]);
     }
   }
+  // Per reader, interior gaps in time order, then the tail gap.
+  std::stable_sort(report.gaps.begin(), report.gaps.end(),
+                   [](const SilenceGap& a, const SilenceGap& b) { return a.reader < b.reader; });
   if (obs::hooks_enabled()) record_ingest_metrics(report);
   return report;
 }
@@ -193,19 +230,25 @@ obs::PassObservation monitor_observation(const IngestReport& report,
   out.window_end_s = window_end_s;
   out.objects_total = objects_total;
   out.readers.resize(reader_count);
-  std::set<std::uint64_t> all;
-  std::vector<std::set<std::uint64_t>> per_reader(reader_count);
+  // Distinct tags, and distinct tags per reader: sort the (tag, reader)
+  // pairs once and count first occurrences.
+  std::vector<std::pair<std::uint64_t, std::size_t>> sightings;
+  sightings.reserve(report.events.size());
   for (const sys::ReadEvent& ev : report.events) {
-    all.insert(ev.tag.value);
-    if (ev.reader_index < reader_count) {
-      per_reader[ev.reader_index].insert(ev.tag.value);
-      ++out.readers[ev.reader_index].rounds;
-    }
+    sightings.emplace_back(ev.tag.value, ev.reader_index);
+    if (ev.reader_index < reader_count) ++out.readers[ev.reader_index].rounds;
   }
-  out.objects_identified = std::min<std::uint64_t>(all.size(), objects_total);
-  for (std::size_t r = 0; r < reader_count; ++r) {
-    out.readers[r].objects_seen =
-        std::min<std::uint64_t>(per_reader[r].size(), objects_total);
+  std::sort(sightings.begin(), sightings.end());
+  std::uint64_t distinct_tags = 0;
+  for (std::size_t i = 0; i < sightings.size(); ++i) {
+    if (i > 0 && sightings[i] == sightings[i - 1]) continue;
+    if (i == 0 || sightings[i].first != sightings[i - 1].first) ++distinct_tags;
+    const std::size_t reader = sightings[i].second;
+    if (reader < reader_count) ++out.readers[reader].objects_seen;
+  }
+  out.objects_identified = std::min<std::uint64_t>(distinct_tags, objects_total);
+  for (obs::ReaderPassObservation& reader : out.readers) {
+    reader.objects_seen = std::min<std::uint64_t>(reader.objects_seen, objects_total);
   }
   return out;
 }

@@ -90,6 +90,15 @@ class ResilientIngest {
   IngestReport ingest(const sys::EventLog& raw, double window_begin_s,
                       double window_end_s) const;
 
+  /// ingest() after its validation pass: `valid` holds records that
+  /// validate_event accepts under this config and window, in arrival
+  /// order (the fleet feed has already validated each delivered batch).
+  /// Counts reorders, restores time order, collapses duplicates and scans
+  /// for silence exactly as ingest() does; report.quarantined stays 0.
+  /// ingest() is the validation pass plus this.
+  IngestReport ingest_validated(sys::EventLog valid, double window_begin_s,
+                                double window_end_s) const;
+
   /// Ingests a CSV feed via the lenient parser: malformed rows land in
   /// report.parse, surviving records go through the same validation as
   /// the in-memory path. Throws only if the header itself is wrong (a
@@ -102,6 +111,11 @@ class ResilientIngest {
   const IngestConfig& config() const { return config_; }
 
  private:
+  /// ingest_validated()'s body without its phase marker, finishing a
+  /// report that may already carry quarantine tallies.
+  IngestReport finish(IngestReport report, sys::EventLog valid, double window_begin_s,
+                      double window_end_s) const;
+
   IngestConfig config_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 namespace rfidsim::wire {
 
@@ -29,46 +30,75 @@ bool operator==(const EventBatch& a, const EventBatch& b) {
   return true;
 }
 
-std::vector<std::uint8_t> encode_event_batch(const EventBatch& batch) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + batch.events.size() * 12);
-  put_varint(out, batch.facility);
-  put_u64le(out, std::bit_cast<std::uint64_t>(batch.sent_time_s));
-  put_u64le(out, std::bit_cast<std::uint64_t>(batch.arrival_time_s));
+namespace {
 
-  // EPC dictionary: distinct tag ids, ascending, delta-encoded.
+/// Appends `batch`'s payload to `out`, written through one pointer into
+/// room sized for the worst case and then trimmed to what was written.
+void append_event_batch(std::vector<std::uint8_t>& out, const EventBatch& batch) {
+  // EPC dictionary: distinct tag ids, ascending, delta-encoded. Sorting
+  // (tag, event) pairs yields the dictionary and every event's index into
+  // it in one walk.
+  const std::size_t count = batch.events.size();
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_tag(count);
+  for (std::size_t i = 0; i < count; ++i) by_tag[i] = {batch.events[i].tag.value, i};
+  std::sort(by_tag.begin(), by_tag.end());
   std::vector<std::uint64_t> dict;
-  dict.reserve(batch.events.size());
-  for (const sys::ReadEvent& ev : batch.events) dict.push_back(ev.tag.value);
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  put_varint(out, dict.size());
+  dict.reserve(count);
+  std::vector<std::size_t> dict_index(count);
+  for (const auto& [tag, event] : by_tag) {
+    if (dict.empty() || dict.back() != tag) dict.push_back(tag);
+    dict_index[event] = dict.size() - 1;
+  }
+
+  // Facility, dictionary size and event count are varints, the two times
+  // raw u64s; each dictionary entry is one varint and each event five.
+  const std::size_t worst =
+      16 + kMaxVarintBytes * (3 + dict.size()) + 5 * kMaxVarintBytes * count;
+  const std::size_t begin = out.size();
+  out.resize(begin + worst);
+  std::uint8_t* p = out.data() + begin;
+  p = write_varint(p, batch.facility);
+  p = write_u64le(p, std::bit_cast<std::uint64_t>(batch.sent_time_s));
+  p = write_u64le(p, std::bit_cast<std::uint64_t>(batch.arrival_time_s));
+  p = write_varint(p, dict.size());
   std::uint64_t prev_epc = 0;
   for (std::size_t i = 0; i < dict.size(); ++i) {
-    put_varint(out, i == 0 ? dict[0] : dict[i] - prev_epc);
+    p = write_varint(p, i == 0 ? dict[0] : dict[i] - prev_epc);
     prev_epc = dict[i];
   }
 
-  put_varint(out, batch.events.size());
+  p = write_varint(p, count);
   std::uint64_t prev_time_bits = std::bit_cast<std::uint64_t>(batch.sent_time_s);
   std::uint64_t prev_rssi_bits = 0;
-  for (const sys::ReadEvent& ev : batch.events) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), ev.tag.value);
-    put_varint(out, static_cast<std::uint64_t>(it - dict.begin()));
-    put_varint(out, ev.reader_index);
-    put_varint(out, ev.antenna_index);
+  for (std::size_t i = 0; i < count; ++i) {
+    const sys::ReadEvent& ev = batch.events[i];
+    p = write_varint(p, dict_index[i]);
+    p = write_varint(p, ev.reader_index);
+    p = write_varint(p, ev.antenna_index);
     const std::uint64_t time_bits = std::bit_cast<std::uint64_t>(ev.time_s);
     const std::uint64_t rssi_bits = std::bit_cast<std::uint64_t>(ev.rssi.value());
-    put_varint_signed(out, static_cast<std::int64_t>(time_bits - prev_time_bits));
-    put_varint_signed(out, static_cast<std::int64_t>(rssi_bits - prev_rssi_bits));
+    p = write_varint(p, zigzag(static_cast<std::int64_t>(time_bits - prev_time_bits)));
+    p = write_varint(p, zigzag(static_cast<std::int64_t>(rssi_bits - prev_rssi_bits)));
     prev_time_bits = time_bits;
     prev_rssi_bits = rssi_bits;
   }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_event_batch(const EventBatch& batch) {
+  std::vector<std::uint8_t> out;
+  append_event_batch(out, batch);
   return out;
 }
 
 std::vector<std::uint8_t> encode_event_batch_frame(const EventBatch& batch) {
-  return make_frame(OpCode::kEventBatch, encode_event_batch(batch));
+  std::vector<std::uint8_t> out;
+  const std::size_t frame = open_frame(out, OpCode::kEventBatch);
+  append_event_batch(out, batch);
+  close_frame(out, frame);
+  return out;
 }
 
 std::optional<EventBatch> decode_event_batch(const std::uint8_t* payload,

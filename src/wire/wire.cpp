@@ -8,22 +8,34 @@ namespace rfidsim::wire {
 
 namespace {
 
-/// CRC-16-CCITT table for poly 0x1021, generated once at startup.
-const std::array<std::uint16_t, 256>& crc_table() {
-  static const std::array<std::uint16_t, 256> table = [] {
-    std::array<std::uint16_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
-                                                         : crc << 1);
-      }
-      t[i] = crc;
+/// CRC-16-CCITT tables for poly 0x1021. Row 0 is the classic byte table;
+/// row k advances a byte through k more zero bytes, so one step can fold
+/// eight input bytes (slice-by-8).
+using CrcTables = std::array<std::array<std::uint16_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
+                                                       : crc << 1);
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint16_t prev = t[k - 1][i];
+      t[k][i] = static_cast<std::uint16_t>((prev << 8) ^ t[0][prev >> 8]);
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Envelope bytes ahead of the payload: SOH + length(4) + opcode + version.
+constexpr std::size_t kHeaderBytes = 7;
 
 bool known_opcode(std::uint8_t op) {
   switch (static_cast<OpCode>(op)) {
@@ -71,17 +83,46 @@ const char* decode_error_name(DecodeErrorKind kind) {
 }
 
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
-  std::uint16_t crc = 0xFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     table[((crc >> 8) ^ data[i]) & 0xFFu]);
+  const CrcTables& t = kCrcTables;
+  std::uint32_t crc = 0xFFFFu;
+  std::size_t i = 0;
+  // The register's two bytes fold into the first two of each eight; byte
+  // j of the eight is then followed by 7 - j more, hence row 7 - j.
+  for (; i + 8 <= size; i += 8) {
+    const std::uint8_t* p = data + i;
+    crc = t[7][p[0] ^ (crc >> 8)] ^ t[6][p[1] ^ (crc & 0xFFu)] ^ t[5][p[2]] ^
+          t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
-  return crc;
+  for (; i < size; ++i) {
+    crc = ((crc << 8) ^ t[0][(crc >> 8) ^ data[i]]) & 0xFFFFu;
+  }
+  return static_cast<std::uint16_t>(crc);
 }
 
 std::uint16_t crc16(const std::vector<std::uint8_t>& data) {
   return crc16(data.data(), data.size());
+}
+
+std::size_t open_frame(std::vector<std::uint8_t>& out, OpCode opcode,
+                       std::uint8_t version) {
+  const std::size_t frame_offset = out.size();
+  // SOH, length placeholder (patched by close_frame), opcode, version.
+  out.insert(out.end(), {kSoh, 0, 0, 0, 0, static_cast<std::uint8_t>(opcode), version});
+  return frame_offset;
+}
+
+void close_frame(std::vector<std::uint8_t>& out, std::size_t frame_offset) {
+  const std::size_t payload_size = out.size() - frame_offset - kHeaderBytes;
+  require(payload_size <= kMaxPayloadBytes,
+          "wire::close_frame: payload exceeds kMaxPayloadBytes");
+  const std::uint32_t len = static_cast<std::uint32_t>(payload_size);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[frame_offset + 1 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  const std::size_t body_begin = frame_offset + 1;  // CRC covers length..payload.
+  const std::uint16_t crc = crc16(out.data() + body_begin, out.size() - body_begin);
+  out.push_back(static_cast<std::uint8_t>(crc >> 8));  // Big-endian, per Mercury.
+  out.push_back(static_cast<std::uint8_t>(crc & 0xFFu));
 }
 
 void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
@@ -89,20 +130,10 @@ void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
                   std::uint8_t version) {
   require(payload.size() <= kMaxPayloadBytes,
           "wire::append_frame: payload exceeds kMaxPayloadBytes");
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::size_t body_begin = out.size() + 1;  // CRC covers length..payload.
   out.reserve(out.size() + payload.size() + kFrameOverhead);
-  out.push_back(kSoh);
-  out.push_back(static_cast<std::uint8_t>(len & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>(opcode));
-  out.push_back(version);
+  const std::size_t frame = open_frame(out, opcode, version);
   out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint16_t crc = crc16(out.data() + body_begin, out.size() - body_begin);
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));  // Big-endian, per Mercury.
-  out.push_back(static_cast<std::uint8_t>(crc & 0xFFu));
+  close_frame(out, frame);
 }
 
 std::vector<std::uint8_t> make_frame(OpCode opcode,
@@ -182,11 +213,8 @@ DecodeResult next_frame(const std::vector<std::uint8_t>& buffer,
 }
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80u) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
+  std::uint8_t bytes[kMaxVarintBytes];
+  out.insert(out.end(), bytes, write_varint(bytes, value));
 }
 
 void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t value) {
@@ -194,31 +222,8 @@ void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t value) {
 }
 
 void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-bool Reader::get_varint(std::uint64_t& value) {
-  std::uint64_t result = 0;
-  for (std::size_t shift = 0; shift < 70; shift += 7) {
-    if (pos >= size) return false;
-    const std::uint8_t byte = data[pos++];
-    if (shift == 63 && (byte & 0xFEu)) return false;  // Overflows 64 bits.
-    result |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) {
-      value = result;
-      return true;
-    }
-  }
-  return false;  // More than 10 continuation bytes.
-}
-
-bool Reader::get_varint_signed(std::int64_t& value) {
-  std::uint64_t raw = 0;
-  if (!get_varint(raw)) return false;
-  value = unzigzag(raw);
-  return true;
+  std::uint8_t bytes[8];
+  out.insert(out.end(), bytes, write_u64le(bytes, value));
 }
 
 bool Reader::get_u8(std::uint8_t& value) {

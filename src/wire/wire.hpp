@@ -102,13 +102,26 @@ struct DecodeResult {
   std::size_t next_offset = 0;
 };
 
-/// CRC-16-CCITT (poly 0x1021, init 0xFFFF), table-driven. This is the
-/// checksum the ThingMagic framing uses over length..payload.
+/// CRC-16-CCITT (poly 0x1021, init 0xFFFF), table-driven, eight bytes per
+/// step (slice-by-8). This is the checksum the ThingMagic framing uses over
+/// length..payload.
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size);
 std::uint16_t crc16(const std::vector<std::uint8_t>& data);
 
+/// Starts a frame at the end of `out`: SOH, a length placeholder, the
+/// opcode and the version. Whatever the caller appends next is the
+/// payload. Returns the frame's offset in `out`, for close_frame.
+std::size_t open_frame(std::vector<std::uint8_t>& out, OpCode opcode,
+                       std::uint8_t version = kWireVersion);
+
+/// Finishes the frame open_frame started at `frame_offset`: patches its
+/// length field with the payload bytes appended since and appends the CRC.
+/// Throws ConfigError if the payload exceeds kMaxPayloadBytes.
+void close_frame(std::vector<std::uint8_t>& out, std::size_t frame_offset);
+
 /// Appends one complete frame (envelope + payload + CRC) to `out`.
-/// Throws ConfigError if `payload` exceeds kMaxPayloadBytes.
+/// Throws ConfigError, leaving `out` untouched, if `payload` exceeds
+/// kMaxPayloadBytes.
 void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
                   const std::vector<std::uint8_t>& payload,
                   std::uint8_t version = kWireVersion);
@@ -133,6 +146,21 @@ DecodeResult next_frame(const std::vector<std::uint8_t>& buffer,
 // length-checked (max 10 bytes), returning false on malformed input
 // instead of throwing — the codec layer turns that into kBadPayload.
 
+/// Longest varint encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `value` as a varint at `out`, which must have room for
+/// kMaxVarintBytes, and returns one past the last byte written. The one
+/// varint encoder: put_varint wraps it.
+inline std::uint8_t* write_varint(std::uint8_t* out, std::uint64_t value) {
+  while (value >= 0x80u) {
+    *out++ = static_cast<std::uint8_t>(value) | 0x80u;
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
+
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
 void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t value);
 
@@ -151,6 +179,13 @@ struct Reader {
   bool get_u64le(std::uint64_t& value);
 };
 
+/// Writes `value` as 8 little-endian bytes at `out` and returns one past
+/// them. put_u64le wraps it.
+inline std::uint8_t* write_u64le(std::uint8_t* out, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) *out++ = static_cast<std::uint8_t>(value >> (8 * i));
+  return out;
+}
+
 void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t value);
 
 /// Zigzag mapping for signed deltas (0,-1,1,-2,... -> 0,1,2,3,...).
@@ -160,6 +195,29 @@ constexpr std::uint64_t zigzag(std::int64_t v) {
 }
 constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+// Inline: the batch decoder reads five varints per event.
+inline bool Reader::get_varint(std::uint64_t& value) {
+  std::uint64_t result = 0;
+  for (std::size_t shift = 0; shift < 70; shift += 7) {
+    if (pos >= size) return false;
+    const std::uint8_t byte = data[pos++];
+    if (shift == 63 && (byte & 0xFEu)) return false;  // Overflows 64 bits.
+    result |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+    if ((byte & 0x80u) == 0) {
+      value = result;
+      return true;
+    }
+  }
+  return false;  // More than 10 continuation bytes.
+}
+
+inline bool Reader::get_varint_signed(std::int64_t& value) {
+  std::uint64_t raw = 0;
+  if (!get_varint(raw)) return false;
+  value = unzigzag(raw);
+  return true;
 }
 
 }  // namespace rfidsim::wire

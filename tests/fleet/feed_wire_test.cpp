@@ -176,5 +176,75 @@ TEST(FeedWireTest, DirtyChannelDeterministicGivenSeed) {
   EXPECT_EQ(f1.corruption_stats().bits_flipped, f2.corruption_stats().bits_flipped);
 }
 
+TEST(FeedWireTest, PassReportEqualsIngestOverOnTimeBatches) {
+  // The feed validates each delivered batch once and hands the on-time
+  // ones to ResilientIngest::ingest_validated; the report must equal the
+  // full ingest() of those batches' events, late arrivals excluded.
+  FeedConfig config = feed_config(3, 8);
+  config.ingest.silence_gap_s = 1.0;
+  config.uploader.batch_size = 6;
+  config.uploader.loss_probability = 0.3;  // Retries push some batches late.
+  config.uploader.initial_backoff_s = 2.0;
+  config.wire_corruption.bit_error_rate = 1e-3;
+  FacilityFeed feed(config);
+  const track::ResilientIngest reference(config.ingest);
+  Rng rng(23);
+  std::size_t late = 0, quarantined = 0, duplicates = 0, gaps = 0;
+  for (std::size_t pass = 0; pass < 8; ++pass) {
+    const double begin = 20.0 * static_cast<double>(pass);
+    // Near-duplicates, a reader that dies, and records validation rejects.
+    sys::EventLog log;
+    for (const sys::ReadEvent& ev : full_pass({1, 2, 3, 4}, 3, begin)) {
+      log.push_back(ev);
+      if (log.size() % 3 == 0) {
+        log.push_back(ev);
+        log.back().time_s += 0.001 * static_cast<double>(log.size() % 4);
+      }
+    }
+    if (pass % 2 == 1) std::erase_if(log, [&](const auto& ev) {
+      return ev.reader_index == 2 && ev.time_s > begin + 4.0;
+    });
+    log.push_back(event(begin + 15.0, 1));    // Outside the window.
+    log.push_back(event(begin + 1.0, 2, 7));  // No reader 7.
+    const FeedPassResult result = feed.process_pass(log, begin, begin + 10.0, rng);
+    late += result.late_batches;
+    quarantined += result.quarantined;
+
+    sys::EventLog on_time;
+    for (const FacilityBatch& batch : result.batches) {
+      if (batch.arrival_time_s <= begin + 10.0) {
+        on_time.insert(on_time.end(), batch.events.begin(), batch.events.end());
+      }
+    }
+    const track::IngestReport want = reference.ingest(on_time, begin, begin + 10.0);
+    const track::IngestReport& got = result.report;
+    duplicates += got.duplicates;
+    gaps += got.gaps.size();
+    EXPECT_EQ(got.accepted, want.accepted);
+    EXPECT_EQ(got.duplicates, want.duplicates);
+    EXPECT_EQ(got.quarantined, want.quarantined);
+    EXPECT_EQ(got.reordered, want.reordered);
+    EXPECT_EQ(got.degraded_readers, want.degraded_readers);
+    ASSERT_EQ(got.events.size(), want.events.size());
+    for (std::size_t i = 0; i < got.events.size(); ++i) {
+      EXPECT_EQ(got.events[i].tag, want.events[i].tag);
+      EXPECT_EQ(got.events[i].time_s, want.events[i].time_s);
+      EXPECT_EQ(got.events[i].reader_index, want.events[i].reader_index);
+    }
+    ASSERT_EQ(got.gaps.size(), want.gaps.size());
+    for (std::size_t i = 0; i < got.gaps.size(); ++i) {
+      EXPECT_EQ(got.gaps[i].reader, want.gaps[i].reader);
+      EXPECT_EQ(got.gaps[i].begin_s, want.gaps[i].begin_s);
+      EXPECT_EQ(got.gaps[i].end_s, want.gaps[i].end_s);
+    }
+  }
+  // The run exercised what it claims to.
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(quarantined, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(gaps, 0u);
+  EXPECT_GT(feed.wire_stats().corrupt_frames, 0u);
+}
+
 }  // namespace
 }  // namespace rfidsim::fleet

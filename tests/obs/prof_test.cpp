@@ -62,6 +62,7 @@ constexpr std::array<Phase, kPhaseCount> kAllPhases = {
     Phase::kGen2Fusion,      Phase::kFeedPass,      Phase::kStoreIngest,
     Phase::kCheckpointWrite, Phase::kCheckpointRestore, Phase::kQueryMissing,
     Phase::kUpload,          Phase::kUploadWire,    Phase::kTrackIngest,
+    Phase::kStoreDigest,     Phase::kWireCodec,
 };
 
 /// Saves and restores the global obs + attribution switches around a test.
@@ -104,6 +105,8 @@ TEST(ProfPhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(phase_name(Phase::kUpload), "upload");
   EXPECT_STREQ(phase_name(Phase::kUploadWire), "upload_wire");
   EXPECT_STREQ(phase_name(Phase::kTrackIngest), "track_ingest");
+  EXPECT_STREQ(phase_name(Phase::kStoreDigest), "store_digest");
+  EXPECT_STREQ(phase_name(Phase::kWireCodec), "wire_codec");
 }
 
 TEST(ProfPhaseTest, EnvModeProfRequestsProfiling) {
@@ -268,9 +271,15 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(at(Phase::kFeedPass), 3u);
     EXPECT_EQ(at(Phase::kUploadWire), 3u);
     EXPECT_EQ(at(Phase::kTrackIngest), 3u);
+    // One 12-event batch per pass on a clean channel: one frame encode and
+    // one strict decode each.
+    EXPECT_EQ(at(Phase::kWireCodec), 6u);
     EXPECT_EQ(at(Phase::kCheckpointWrite), 1u);
     EXPECT_EQ(at(Phase::kCheckpointRestore), 1u);
     EXPECT_EQ(at(Phase::kQueryMissing), 1u);
+    // The checkpoint's closing digest, the restore's check against it,
+    // and the two compared above.
+    EXPECT_EQ(at(Phase::kStoreDigest), 4u);
   } else {
     for (const std::uint64_t calls : serial) EXPECT_EQ(calls, 0u);
   }

@@ -58,6 +58,41 @@ TEST(RegistryTest, BindToUnknownObjectThrows) {
   EXPECT_THROW(reg.bind_tag(TagId{1}, ObjectId{42}), ConfigError);
 }
 
+TEST(RegistryTest, TagZeroIsBindable) {
+  // The flat index marks empty slots with object 0, never with tag 0.
+  ObjectRegistry reg;
+  const ObjectId obj = reg.add_object("zero");
+  EXPECT_EQ(reg.object_of(TagId{0}), std::nullopt);
+  reg.bind_tag(TagId{0}, obj);
+  EXPECT_EQ(reg.object_of(TagId{0}), obj);
+  EXPECT_EQ(reg.tag_count(), 1u);
+  EXPECT_THROW(reg.bind_tag(TagId{0}, obj), ConfigError);
+}
+
+TEST(RegistryTest, LookupsSurviveGrowthThroughManyRehashes) {
+  ObjectRegistry reg;
+  const ObjectId even = reg.add_object("even");
+  const ObjectId odd = reg.add_object("odd");
+  constexpr std::uint64_t kTags = 100000;
+  // Spread ids: sequential, then high bits set, so probes cross the table.
+  const auto tag_id = [](std::uint64_t i) { return i % 2 == 0 ? i : ~i; };
+  for (std::uint64_t i = 0; i < kTags; ++i) {
+    reg.bind_tag(TagId{tag_id(i)}, i % 2 == 0 ? even : odd);
+    ASSERT_EQ(reg.tag_count(), i + 1);
+  }
+  for (std::uint64_t i = 0; i < kTags; ++i) {
+    ASSERT_EQ(reg.object_of(TagId{tag_id(i)}), i % 2 == 0 ? even : odd) << i;
+  }
+  EXPECT_EQ(reg.object_of(TagId{kTags + 1}), std::nullopt);
+  EXPECT_EQ(reg.object_of(TagId{~kTags}), std::nullopt);
+  // A double bind after growth still throws and changes nothing.
+  EXPECT_THROW(reg.bind_tag(TagId{tag_id(12345)}, even), ConfigError);
+  EXPECT_THROW(reg.bind_tag(TagId{5}, ObjectId{99}), ConfigError);
+  EXPECT_EQ(reg.tag_count(), kTags);
+  EXPECT_EQ(reg.object_of(TagId{tag_id(12345)}), odd);
+  EXPECT_EQ(reg.tags_of(even).size(), kTags / 2);
+}
+
 TEST(RegistryTest, ObjectsPreserveRegistrationOrder) {
   ObjectRegistry reg;
   const ObjectId a = reg.add_object("first");

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fault/corruption.hpp"
 #include "system/event_io.hpp"
 #include "track/tracking.hpp"
@@ -262,6 +269,208 @@ TEST(ResilientIngestTest, ValidateEventMatchesIngestQuarantineRules) {
     std::string reason;
     if (!validate_event(ev, cfg, 0.0, 1.0, &reason)) {
       EXPECT_EQ(report.quarantine_samples[sample++], reason);
+    }
+  }
+}
+
+TEST(ResilientIngestTest, InferredRosterNeverSizesBuffersFromReaderIndices) {
+  // With reader_count unset, a reader index is record content: one row
+  // from reader 4e12 used to size the silence scan's per-reader buffers.
+  ResilientIngest ingest;
+  IngestReport report;
+  ASSERT_NO_THROW(report = ingest.ingest_csv(
+                      "time_s,tag,reader,antenna,rssi_dbm\n"
+                      "0.5,7,0,0,-60\n0.6,8,4000000000000,0,-60\n",
+                      0.0, 1.0));
+  EXPECT_EQ(report.accepted, 2u);
+  EXPECT_TRUE(report.gaps.empty());
+  EXPECT_FALSE(report.degraded());
+}
+
+TEST(ResilientIngestTest, InferredRosterScansOnlyReadersThatSpoke) {
+  // Readers 1..6 never appear and nothing says they exist, so they cannot
+  // be declared silent; reader 7 spoke and then went quiet.
+  ResilientIngest ingest;
+  const sys::EventLog log{event(0.5, 1, 0, 0), event(0.5, 2, 7, 0), event(9.5, 1, 0, 0)};
+  const IngestReport report = ingest.ingest(log, 0.0, 10.0);
+  EXPECT_EQ(report.degraded_readers, std::vector<std::size_t>{7});
+  ASSERT_EQ(report.gaps.size(), 2u);
+  EXPECT_EQ(report.gaps[0].reader, 0u);  // 0.5 -> 9.5, interior.
+  EXPECT_FALSE(report.gaps[0].to_window_end);
+  EXPECT_EQ(report.gaps[1].reader, 7u);
+  EXPECT_TRUE(report.gaps[1].to_window_end);
+}
+
+// --- Reference models ---------------------------------------------------
+//
+// The map/set formulations ingest() and monitor_observation() replaced
+// with flat sort passes, kept here as the oracle every decision and count
+// must equal.
+
+IngestReport reference_ingest(const sys::EventLog& raw, const IngestConfig& cfg,
+                              double begin_s, double end_s) {
+  IngestReport report;
+  sys::EventLog valid;
+  double high_water = -std::numeric_limits<double>::infinity();
+  std::string reason;
+  for (const sys::ReadEvent& ev : raw) {
+    if (!validate_event(ev, cfg, begin_s, end_s, &reason)) {
+      ++report.quarantined;
+      if (report.quarantine_samples.size() < IngestReport::kMaxQuarantineSamples) {
+        report.quarantine_samples.push_back(reason);
+      }
+      continue;
+    }
+    if (ev.time_s < high_water) ++report.reordered;
+    high_water = std::max(high_water, ev.time_s);
+    valid.push_back(ev);
+  }
+  std::stable_sort(valid.begin(), valid.end(),
+                   [](const auto& a, const auto& b) { return a.time_s < b.time_s; });
+  std::map<std::tuple<std::uint64_t, std::size_t, std::size_t>, double> last_accepted;
+  for (const sys::ReadEvent& ev : valid) {
+    const auto key = std::make_tuple(ev.tag.value, ev.reader_index, ev.antenna_index);
+    const auto it = last_accepted.find(key);
+    if (it != last_accepted.end() && ev.time_s - it->second <= cfg.dedup_window_s) {
+      ++report.duplicates;
+      continue;
+    }
+    last_accepted[key] = ev.time_s;
+    report.events.push_back(ev);
+  }
+  report.accepted = report.events.size();
+  std::map<std::size_t, std::vector<double>> times;  // The scanned roster.
+  for (std::size_t r = 0; r < cfg.reader_count; ++r) times[r];
+  for (const sys::ReadEvent& ev : report.events) {
+    if (cfg.reader_count == 0 || ev.reader_index < cfg.reader_count) {
+      times[ev.reader_index].push_back(ev.time_s);
+    }
+  }
+  for (const auto& [r, reads] : times) {
+    double cursor = begin_s;
+    for (const double t : reads) {
+      if (t - cursor > cfg.silence_gap_s) report.gaps.push_back({r, cursor, t, false});
+      cursor = t;
+    }
+    if (end_s - cursor > cfg.silence_gap_s) {
+      report.gaps.push_back({r, cursor, end_s, true});
+      report.degraded_readers.push_back(r);
+    }
+  }
+  return report;
+}
+
+obs::PassObservation reference_observation(const IngestReport& report,
+                                           std::size_t reader_count,
+                                           std::size_t objects_total) {
+  obs::PassObservation out;
+  out.objects_total = objects_total;
+  out.readers.resize(reader_count);
+  std::set<std::uint64_t> all;
+  std::vector<std::set<std::uint64_t>> per_reader(reader_count);
+  for (const sys::ReadEvent& ev : report.events) {
+    all.insert(ev.tag.value);
+    if (ev.reader_index < reader_count) {
+      per_reader[ev.reader_index].insert(ev.tag.value);
+      ++out.readers[ev.reader_index].rounds;
+    }
+  }
+  out.objects_identified = std::min<std::uint64_t>(all.size(), objects_total);
+  for (std::size_t r = 0; r < reader_count; ++r) {
+    out.readers[r].objects_seen = std::min<std::uint64_t>(per_reader[r].size(), objects_total);
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_report(const IngestReport& a, const IngestReport& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.duplicates, b.duplicates);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.reordered, b.reordered);
+  EXPECT_EQ(a.quarantine_samples, b.quarantine_samples);
+  EXPECT_EQ(a.parse.rows_ok, b.parse.rows_ok);
+  EXPECT_EQ(a.parse.rows_bad, b.parse.rows_bad);
+  EXPECT_EQ(a.degraded_readers, b.degraded_readers);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const sys::ReadEvent& x = a.events[i];
+    const sys::ReadEvent& y = b.events[i];
+    EXPECT_TRUE(x.tag == y.tag && same_bits(x.time_s, y.time_s) &&
+                x.reader_index == y.reader_index && x.antenna_index == y.antenna_index &&
+                same_bits(x.rssi.value(), y.rssi.value()) && x.session == y.session)
+        << "event " << i;
+  }
+  ASSERT_EQ(a.gaps.size(), b.gaps.size());
+  for (std::size_t i = 0; i < a.gaps.size(); ++i) {
+    EXPECT_EQ(a.gaps[i].reader, b.gaps[i].reader) << "gap " << i;
+    EXPECT_TRUE(same_bits(a.gaps[i].begin_s, b.gaps[i].begin_s)) << "gap " << i;
+    EXPECT_TRUE(same_bits(a.gaps[i].end_s, b.gaps[i].end_s)) << "gap " << i;
+    EXPECT_EQ(a.gaps[i].to_window_end, b.gaps[i].to_window_end) << "gap " << i;
+  }
+}
+
+/// A pass dense in near-duplicates: few streams, times on a 1 ms grid
+/// around the dedup window, equal times, interleaved (reordered) arrival,
+/// quiet stretches that open silence gaps, and a sprinkle of records that
+/// fail validation.
+sys::EventLog near_duplicate_log(Rng& rng, std::size_t n) {
+  sys::EventLog log;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cluster = 0.5 * static_cast<double>(rng.uniform_int(0, 19));
+    const double t = cluster + 0.001 * static_cast<double>(rng.uniform_int(0, 6));
+    sys::ReadEvent ev = event(t, static_cast<std::uint64_t>(rng.uniform_int(1, 6)),
+                              static_cast<std::size_t>(rng.uniform_int(0, 3)),
+                              static_cast<std::size_t>(rng.uniform_int(0, 1)),
+                              rng.uniform(-80.0, -40.0));
+    if (rng.bernoulli(0.03)) ev.time_s = 11.0;  // Outside the window.
+    if (rng.bernoulli(0.03)) ev.rssi = DbmPower(40.0);
+    log.push_back(ev);
+  }
+  return log;
+}
+
+TEST(ResilientIngestTest, MatchesMapAndSetReferenceModels) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const sys::EventLog raw = near_duplicate_log(rng, 50 + 20 * (seed % 10));
+    IngestConfig cfg;
+    cfg.silence_gap_s = 0.4 + 0.1 * static_cast<double>(seed % 4);
+    if (seed % 3 == 0) cfg.dedup_window_s = 0.0;  // Exact repeats only.
+    if (seed % 2 == 0) cfg.reader_count = 3 + seed % 3;  // 4 and 5 add silent readers.
+    const ResilientIngest ingest(cfg);
+
+    const IngestReport want = reference_ingest(raw, cfg, 0.0, 10.0);
+    const IngestReport got = ingest.ingest(raw, 0.0, 10.0);
+    expect_same_report(got, want);
+
+    // ingest() is the validation pass plus ingest_validated().
+    sys::EventLog valid;
+    for (const sys::ReadEvent& ev : raw) {
+      if (validate_event(ev, cfg, 0.0, 10.0)) valid.push_back(ev);
+    }
+    IngestReport split = ingest.ingest_validated(valid, 0.0, 10.0);
+    EXPECT_EQ(split.quarantined, 0u);
+    split.quarantined = got.quarantined;
+    split.quarantine_samples = got.quarantine_samples;
+    expect_same_report(split, got);
+
+    const std::size_t readers = 4;
+    const std::size_t objects = seed % 5 == 0 ? 3 : 10;  // 3 clamps the counts.
+    const obs::PassObservation obs_got =
+        monitor_observation(got, readers, objects, 0.0, 10.0);
+    const obs::PassObservation obs_want = reference_observation(want, readers, objects);
+    EXPECT_EQ(obs_got.objects_identified, obs_want.objects_identified);
+    EXPECT_EQ(obs_got.objects_total, obs_want.objects_total);
+    ASSERT_EQ(obs_got.readers.size(), obs_want.readers.size());
+    for (std::size_t r = 0; r < readers; ++r) {
+      EXPECT_EQ(obs_got.readers[r].rounds, obs_want.readers[r].rounds) << "reader " << r;
+      EXPECT_EQ(obs_got.readers[r].objects_seen, obs_want.readers[r].objects_seen)
+          << "reader " << r;
     }
   }
 }

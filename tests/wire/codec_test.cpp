@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -96,6 +97,62 @@ TEST(BatchCodecTest, DictionaryCompressesRepeatedTags) {
   }
   const std::vector<std::uint8_t> wide = encode_event_batch(spread);
   EXPECT_LT(pooled.size() + 1024, wide.size());
+}
+
+/// A batch built to need the longest encodings: EPCs near 0 and 2^64,
+/// reader and antenna indices that take 10-byte varints, and time and
+/// RSSI bit patterns (the hostile doubles plus arbitrary bits) whose
+/// deltas do too.
+EventBatch hostile_batch(Rng& rng, std::size_t events) {
+  const auto any_bits = [&rng] {
+    return static_cast<std::uint64_t>(rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                                                      std::numeric_limits<std::int64_t>::max()));
+  };
+  const double doubles[] = {0.0, -0.0, 1e-308, -1e-308, 1e308,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), -1e30};
+  const auto pick_double = [&] {
+    return rng.bernoulli(0.5) ? doubles[rng.uniform_int(0, 8)]
+                              : std::bit_cast<double>(any_bits());
+  };
+  const std::uint64_t epcs[] = {0, 1, ~0ull, ~0ull - 1, 1ull << 63};
+  const std::uint64_t indices[] = {0, 127, 128, ~0ull, ~0ull >> 1};
+  EventBatch batch;
+  batch.facility = static_cast<std::uint32_t>(any_bits());
+  batch.sent_time_s = pick_double();
+  batch.arrival_time_s = pick_double();
+  for (std::size_t i = 0; i < events; ++i) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{rng.bernoulli(0.5) ? epcs[rng.uniform_int(0, 4)] : any_bits()};
+    ev.time_s = pick_double();
+    ev.reader_index = static_cast<std::size_t>(
+        rng.bernoulli(0.5) ? indices[rng.uniform_int(0, 4)] : any_bits());
+    ev.antenna_index = static_cast<std::size_t>(
+        rng.bernoulli(0.5) ? indices[rng.uniform_int(0, 4)] : any_bits());
+    ev.rssi = DbmPower{pick_double()};
+    batch.events.push_back(ev);
+  }
+  return batch;
+}
+
+TEST(BatchCodecTest, FrameBuiltInPlaceEqualsFramedPayload) {
+  // encode_event_batch_frame writes the payload straight into the frame
+  // through a buffer sized for the worst case; its bytes must equal
+  // framing the separately encoded payload, for ordinary and for
+  // maximally wide batches alike.
+  Rng rng(2026);
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto events = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    const EventBatch batch =
+        trial % 2 == 0 ? make_batch(rng, events, 1 + events / 4) : hostile_batch(rng, events);
+    const std::vector<std::uint8_t> payload = encode_event_batch(batch);
+    EXPECT_EQ(encode_event_batch_frame(batch), make_frame(OpCode::kEventBatch, payload))
+        << "trial " << trial;
+    const auto decoded = decode_event_batch(payload.data(), payload.size());
+    ASSERT_TRUE(decoded.has_value()) << "trial " << trial;
+    EXPECT_TRUE(*decoded == batch) << "trial " << trial;
+  }
 }
 
 TEST(BatchCodecTest, FrameRoundTripThroughDecoder) {

@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace rfidsim::wire {
 namespace {
 
@@ -29,6 +31,67 @@ TEST(Crc16Test, DetectsEverySingleBitError) {
     damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     EXPECT_NE(crc16(damaged), good) << "missed flip at bit " << bit;
   }
+}
+
+/// Bit-at-a-time CRC-16-CCITT: the definition the table kernel must equal.
+std::uint16_t crc16_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = static_cast<std::uint16_t>(crc ^ (data[i] << 8));
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u : crc << 1);
+    }
+  }
+  return crc;
+}
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t size) {
+  std::vector<std::uint8_t> out(size);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return out;
+}
+
+TEST(Crc16Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0-64 covers each tail after the eight-byte steps; the
+  // offsets start the buffer at every alignment.
+  Rng rng(1021);
+  const std::vector<std::uint8_t> bytes = random_bytes(rng, 64 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 64; ++size) {
+      EXPECT_EQ(crc16(bytes.data() + offset, size),
+                crc16_bitwise(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto size = static_cast<std::size_t>(rng.uniform_int(0, 4096));
+    const std::vector<std::uint8_t> data = random_bytes(rng, size);
+    EXPECT_EQ(crc16(data), crc16_bitwise(data.data(), data.size())) << "size " << size;
+  }
+}
+
+TEST(FrameTest, OpenCloseBuildsTheSameBytesAsAppendFrame) {
+  std::vector<std::uint8_t> built;
+  close_frame(built, open_frame(built, OpCode::kCheckpointEnd));
+  EXPECT_EQ(built, make_frame(OpCode::kCheckpointEnd, {}));
+
+  // A stream of frames, each opened after the ones before it.
+  Rng rng(61);
+  std::vector<std::uint8_t> appended;
+  built.clear();
+  const OpCode ops[] = {OpCode::kEventBatch, OpCode::kCheckpointHeader,
+                        OpCode::kCheckpointShard, OpCode::kCheckpointEnd};
+  for (int i = 0; i < 24; ++i) {
+    const OpCode op = ops[i % 4];
+    const std::vector<std::uint8_t> payload =
+        random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 300)));
+    append_frame(appended, op, payload);
+    const std::size_t frame = open_frame(built, op);
+    EXPECT_EQ(frame, appended.size() - payload.size() - kFrameOverhead);
+    built.insert(built.end(), payload.begin(), payload.end());
+    close_frame(built, frame);
+  }
+  EXPECT_EQ(built, appended);
 }
 
 TEST(FrameTest, RoundTripsPayloadAndMetadata) {
