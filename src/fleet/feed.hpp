@@ -19,7 +19,8 @@
 //                      silent late-data path is observable.
 //   Pass -> monitor    The pass-level quality signals (transport dedup,
 //                      silence gaps, degraded readers) come from one union
-//                      ResilientIngest::ingest over the batches that
+//                      ResilientIngest::ingest_validated (the records are
+//                      validated once, above) over the batches that
 //                      arrived *inside* the pass window. Batches whose
 //                      arrival slid past the window end — the uploader's
 //                      retry backoff made visible — are excluded: the
