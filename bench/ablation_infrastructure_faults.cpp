@@ -436,7 +436,6 @@ int main(int argc, char** argv) {
     sys::PortalSimulator sim_ok(sc.scene, sc.portal);
     sys::PortalSimulator sim_bad(sc_faulted.scene, sc_faulted.portal);
     obs::ReliabilityMonitor monitor;
-    monitor.set_log(&obs::structured_log());  // Narrates under --log-dump.
 
     std::vector<std::size_t> onset_pass(reader_count, kTotalPasses);
     std::vector<double> onset_downtime(reader_count, 0.0);

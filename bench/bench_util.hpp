@@ -1,13 +1,17 @@
 // Shared plumbing for the paper-reproduction benches.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/provenance.hpp"
-#include "obs/structured_log.hpp"
 #include "obs/trace.hpp"
 #include "reliability/calibration.hpp"
 #include "reliability/estimator.hpp"
@@ -128,8 +131,6 @@ inline bool write_json(const std::string& path, int pr,
 /// Flags (all optional):
 ///   --metrics-dump <path>  Prometheus text exposition of the obs registry.
 ///   --trace-dump <path>    Chrome trace_event JSON (enables span tracing).
-///   --log-dump <path>      JSON-lines structured log (obs::structured_log()
-///                          writes there for the whole bench run).
 ///   --provenance-dump <path>  JSON-lines per-batch provenance records
 ///                          (obs::provenance_log()).
 ///   --flight-dump <path>   Flight-recorder dump (JSON lines: the tail of
@@ -148,10 +149,13 @@ inline bool write_json(const std::string& path, int pr,
 ///                          parallel path (0 = the shared sweep engine's
 ///                          default). Benches read it via threads().
 ///   --seed <u64>           Scenario seed override; defaults to kSeed.
-/// Remaining arguments are left for the bench in positional().
+/// A bench names its own flags, each taking one value, in `own_flags` and
+/// reads them back with flag(). Any other `--` argument exits 2 with a
+/// message, so a mistyped or retired flag never becomes a positional
+/// argument. Remaining arguments are left for the bench in positional().
 class Session {
  public:
-  Session(int argc, char** argv) {
+  Session(int argc, char** argv, std::initializer_list<std::string_view> own_flags = {}) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto take_value = [&](std::string& out) {
@@ -180,8 +184,6 @@ class Session {
       } else if (arg == "--trace-dump") {
         take_value(trace_path_);
         obs::set_trace_enabled(true);
-      } else if (arg == "--log-dump") {
-        take_value(log_path_);
       } else if (arg == "--provenance-dump") {
         take_value(provenance_path_);
       } else if (arg == "--flight-dump") {
@@ -196,13 +198,14 @@ class Session {
         threads_ = static_cast<std::size_t>(take_number("thread count"));
       } else if (arg == "--seed") {
         seed_ = take_number("seed");
+      } else if (std::find(own_flags.begin(), own_flags.end(), arg) != own_flags.end()) {
+        take_value(own_values_[arg]);
+      } else if (arg.starts_with("--")) {
+        std::fprintf(stderr, "bench: unknown flag %s\n", arg.c_str());
+        std::exit(2);
       } else {
         positional_.push_back(arg);
       }
-    }
-    if (!log_path_.empty()) {
-      log_stream_.open(log_path_);
-      obs::structured_log().set_sink(&log_stream_);
     }
     // RFIDSIM_OBS=prof is the flag-free way to ask for both profiling
     // layers; an explicit dump path requests just its own layer.
@@ -225,13 +228,6 @@ class Session {
       std::ofstream out(trace_path_);
       obs::write_chrome_trace(out);
       std::printf("wrote Chrome trace to %s\n", trace_path_.c_str());
-    }
-    if (!log_path_.empty()) {
-      obs::structured_log().set_sink(nullptr);
-      std::printf("wrote structured log to %s (%llu records, %llu rate-dropped)\n",
-                  log_path_.c_str(),
-                  static_cast<unsigned long long>(obs::structured_log().emitted()),
-                  static_cast<unsigned long long>(obs::structured_log().dropped()));
     }
     if (!provenance_path_.empty()) {
       std::ofstream out(provenance_path_);
@@ -297,6 +293,11 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   const std::vector<std::string>& positional() const { return positional_; }
+  /// Value of one of the bench's own flags, or nullptr when not given.
+  const char* flag(std::string_view name) const {
+    const auto it = own_values_.find(name);
+    return it == own_values_.end() ? nullptr : it->second.c_str();
+  }
   /// --threads value; 0 (default) = borrow the shared sweep engine.
   std::size_t threads() const { return threads_; }
   /// --seed value; kSeed unless overridden.
@@ -307,13 +308,12 @@ class Session {
   std::uint64_t seed_ = kSeed;
   std::string metrics_path_;
   std::string trace_path_;
-  std::string log_path_;
   std::string provenance_path_;
   std::string flight_path_;
   std::string profile_path_;
   std::string attribution_path_;
   bool profiling_ = false;
-  std::ofstream log_stream_;
+  std::map<std::string, std::string, std::less<>> own_values_;
   std::vector<std::string> positional_;
 };
 

@@ -288,23 +288,15 @@ int restore_from(const std::vector<fleet::FacilityBatch>& batches, const char* p
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Session session(argc, argv);
+  const bench::Session session(argc, argv, {"--crash-after-half", "--restore-from"});
   // A real crash (SIGSEGV/SIGABRT/...) dumps the provenance tail here before
   // the default handler takes over — the bench run's black box.
   obs::install_crash_handler("fleet_loadgen.crash.flight.jsonl");
-  const char* out_path = "BENCH_FLEET.json";
-  const char* crash_path = nullptr;
-  const char* restore_path = nullptr;
-  const auto& positional = session.positional();
-  for (std::size_t i = 0; i < positional.size(); ++i) {
-    if (positional[i] == "--crash-after-half" && i + 1 < positional.size()) {
-      crash_path = positional[++i].c_str();
-    } else if (positional[i] == "--restore-from" && i + 1 < positional.size()) {
-      restore_path = positional[++i].c_str();
-    } else {
-      out_path = positional[i].c_str();
-    }
-  }
+  const char* out_path = session.positional().empty()
+                             ? "BENCH_FLEET.json"
+                             : session.positional().back().c_str();
+  const char* crash_path = session.flag("--crash-after-half");
+  const char* restore_path = session.flag("--restore-from");
 
   bench::banner("fleet_loadgen - sharded store ingest + wire/checkpoint durability",
                 "Drives 5.1M events from 4 facilities through the fleet store\n"

@@ -133,10 +133,9 @@ int main() {
     std::printf("unexpected on the truck: %s\n", registry.name_of(object).c_str());
   }
 
-  // The fleet health document an ops dashboard would scrape: per-facility
+  // The fleet health document an ops dashboard would read: per-facility
   // freshness watermarks, alert tallies, and transport depths in one JSON
-  // object (write_health_prometheus renders the same snapshot for a
-  // Prometheus endpoint).
+  // object.
   std::printf("\nfleet health snapshot:\n");
   std::ostringstream health_json;
   fleet::write_health_json(health_json, service.health_snapshot());

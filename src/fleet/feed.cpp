@@ -185,12 +185,15 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   // degradation the confidence model must reflect.
   result.report = ingest_.ingest_validated(std::move(on_time), window_begin_s, window_end_s);
   last_degraded_ = result.report.degraded_readers;
-  monitor_.observe_pass(track::monitor_observation(
-      result.report, config_.ingest.reader_count, config_.objects_total,
-      window_begin_s, window_end_s));
-  monitor_.observe_transport(obs::TransportObservation{
-      result.frames_sent, result.corrupt_frames, result.recovered_batches,
-      result.quarantined_batches, result.stale_batches, window_end_s});
+  {
+    const obs::prof::ScopedPhase monitor_phase(obs::prof::Phase::kFeedMonitor);
+    monitor_.observe_pass(track::monitor_observation(
+        result.report, config_.ingest.reader_count, config_.objects_total,
+        window_begin_s, window_end_s));
+    monitor_.observe_transport(obs::TransportObservation{
+        result.frames_sent, result.corrupt_frames, result.recovered_batches,
+        result.quarantined_batches, result.stale_batches, window_end_s});
+  }
 
   // Cumulative tallies for the health surface — always on (pure counting).
   last_window_end_s_ = window_end_s;

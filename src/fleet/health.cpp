@@ -20,22 +20,6 @@ void put_json_double(std::ostream& out, double x) {
   out << buf;
 }
 
-/// Prometheus understands +Inf/-Inf; keep them (an infinite watermark age
-/// is a scrapeable fact: nothing merged yet).
-void put_prom_double(std::ostream& out, double x) {
-  if (std::isinf(x)) {
-    out << (x > 0 ? "+Inf" : "-Inf");
-    return;
-  }
-  if (std::isnan(x)) {
-    out << "NaN";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", x);
-  out << buf;
-}
-
 void put_totals_json(std::ostream& out, const FeedTotals& t) {
   out << "{\"delivered_batches\":" << t.delivered_batches
       << ",\"stored_events\":" << t.stored_events
@@ -47,14 +31,6 @@ void put_totals_json(std::ostream& out, const FeedTotals& t) {
       << ",\"corrupt_frames\":" << t.corrupt_frames
       << ",\"recovered_batches\":" << t.recovered_batches
       << ",\"quarantined_batches\":" << t.quarantined_batches << "}";
-}
-
-/// One per-facility gauge line: name{facility="N"} value.
-void prom_facility_line(std::ostream& out, const char* name,
-                        FacilityId facility, double value) {
-  out << name << "{facility=\"" << facility << "\"} ";
-  put_prom_double(out, value);
-  out << "\n";
 }
 
 }  // namespace
@@ -104,128 +80,6 @@ void write_health_json(std::ostream& out, const FleetHealth& health) {
     out << "}";
   }
   out << "]}\n";
-}
-
-void write_health_prometheus(std::ostream& out, const FleetHealth& health) {
-  out << "# HELP rfidsim_fleet_health_facilities Facilities feeding the store.\n"
-      << "# TYPE rfidsim_fleet_health_facilities gauge\n"
-      << "rfidsim_fleet_health_facilities " << health.facilities << "\n";
-  out << "# HELP rfidsim_fleet_health_tags Distinct EPCs stored.\n"
-      << "# TYPE rfidsim_fleet_health_tags gauge\n"
-      << "rfidsim_fleet_health_tags " << health.tags << "\n";
-  out << "# HELP rfidsim_fleet_health_sightings Stored sightings.\n"
-      << "# TYPE rfidsim_fleet_health_sightings gauge\n"
-      << "rfidsim_fleet_health_sightings " << health.sightings << "\n";
-  out << "# HELP rfidsim_fleet_health_alerts_total Monitor alerts fleet-wide.\n"
-      << "# TYPE rfidsim_fleet_health_alerts_total gauge\n"
-      << "rfidsim_fleet_health_alerts_total " << health.alerts_total << "\n";
-  out << "# HELP rfidsim_fleet_health_stalled_facilities Facilities whose "
-         "freshness watermark is currently stalled.\n"
-      << "# TYPE rfidsim_fleet_health_stalled_facilities gauge\n"
-      << "rfidsim_fleet_health_stalled_facilities " << health.stalled_facilities
-      << "\n";
-  out << "# HELP rfidsim_fleet_health_min_watermark_seconds Fleet-wide "
-         "freshness floor (-1 = a facility has merged nothing).\n"
-      << "# TYPE rfidsim_fleet_health_min_watermark_seconds gauge\n"
-      << "rfidsim_fleet_health_min_watermark_seconds ";
-  put_prom_double(out, health.min_watermark_s);
-  out << "\n";
-
-  out << "# HELP rfidsim_fleet_health_provenance_dropped_records Provenance "
-         "ring-wrap losses (telemetry self-health).\n"
-      << "# TYPE rfidsim_fleet_health_provenance_dropped_records gauge\n"
-      << "rfidsim_fleet_health_provenance_dropped_records "
-      << health.provenance_dropped << "\n";
-  out << "# HELP rfidsim_fleet_health_flight_dump_attempts Explicit flight-"
-         "recorder dumps attempted.\n"
-      << "# TYPE rfidsim_fleet_health_flight_dump_attempts gauge\n"
-      << "rfidsim_fleet_health_flight_dump_attempts "
-      << health.flight_dump_attempts << "\n";
-  out << "# HELP rfidsim_fleet_health_flight_dump_failures Flight-recorder "
-         "dumps that could not be written.\n"
-      << "# TYPE rfidsim_fleet_health_flight_dump_failures gauge\n"
-      << "rfidsim_fleet_health_flight_dump_failures "
-      << health.flight_dump_failures << "\n";
-  out << "# HELP rfidsim_fleet_health_crash_handler_installed 1 when a fatal-"
-         "signal flight dump path is armed.\n"
-      << "# TYPE rfidsim_fleet_health_crash_handler_installed gauge\n"
-      << "rfidsim_fleet_health_crash_handler_installed "
-      << (health.crash_handler_installed ? 1 : 0) << "\n";
-
-  out << "# HELP rfidsim_fleet_health_watermark_seconds Per-facility "
-         "event-time low-watermark.\n"
-      << "# TYPE rfidsim_fleet_health_watermark_seconds gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    prom_facility_line(out, "rfidsim_fleet_health_watermark_seconds",
-                       f.facility, f.watermark_s);
-  }
-  out << "# HELP rfidsim_fleet_health_watermark_age_seconds Window end minus "
-         "watermark (+Inf = nothing merged).\n"
-      << "# TYPE rfidsim_fleet_health_watermark_age_seconds gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    prom_facility_line(out, "rfidsim_fleet_health_watermark_age_seconds",
-                       f.facility, f.watermark_age_s);
-  }
-  out << "# HELP rfidsim_fleet_health_watermark_stalled 1 while the stall "
-         "detector is latched.\n"
-      << "# TYPE rfidsim_fleet_health_watermark_stalled gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    out << "rfidsim_fleet_health_watermark_stalled{facility=\"" << f.facility
-        << "\"} " << (f.watermark_stalled ? 1 : 0) << "\n";
-  }
-  out << "# HELP rfidsim_fleet_health_observed_rc Monitor's windowed portal "
-         "read rate.\n"
-      << "# TYPE rfidsim_fleet_health_observed_rc gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    prom_facility_line(out, "rfidsim_fleet_health_observed_rc", f.facility,
-                       f.observed_rc);
-  }
-  out << "# HELP rfidsim_fleet_health_predicted_rc Composed per-reader "
-         "prediction.\n"
-      << "# TYPE rfidsim_fleet_health_predicted_rc gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    prom_facility_line(out, "rfidsim_fleet_health_predicted_rc", f.facility,
-                       f.predicted_rc);
-  }
-  out << "# HELP rfidsim_fleet_health_alerts Monitor alerts by facility and "
-         "type.\n"
-      << "# TYPE rfidsim_fleet_health_alerts gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    for (std::size_t i = 0; i < obs::kAlertTypeCount; ++i) {
-      out << "rfidsim_fleet_health_alerts{facility=\"" << f.facility
-          << "\",type=\""
-          << obs::alert_type_name(static_cast<obs::AlertType>(i)) << "\"} "
-          << f.alerts_by_type[i] << "\n";
-    }
-  }
-  out << "# HELP rfidsim_fleet_health_lost_batches Batches the upload hop "
-         "dropped for good.\n"
-      << "# TYPE rfidsim_fleet_health_lost_batches gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    out << "rfidsim_fleet_health_lost_batches{facility=\"" << f.facility
-        << "\"} " << f.totals.lost_batches << "\n";
-  }
-  out << "# HELP rfidsim_fleet_health_corrupt_frames Receiver-detected bad "
-         "frames.\n"
-      << "# TYPE rfidsim_fleet_health_corrupt_frames gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    out << "rfidsim_fleet_health_corrupt_frames{facility=\"" << f.facility
-        << "\"} " << f.totals.corrupt_frames << "\n";
-  }
-  out << "# HELP rfidsim_fleet_health_quarantined_batches Batches dropped "
-         "after exhausting the NAK budget.\n"
-      << "# TYPE rfidsim_fleet_health_quarantined_batches gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    out << "rfidsim_fleet_health_quarantined_batches{facility=\"" << f.facility
-        << "\"} " << f.totals.quarantined_batches << "\n";
-  }
-  out << "# HELP rfidsim_fleet_health_quarantined_records Records rejected by "
-         "per-batch validation.\n"
-      << "# TYPE rfidsim_fleet_health_quarantined_records gauge\n";
-  for (const FacilityHealth& f : health.per_facility) {
-    out << "rfidsim_fleet_health_quarantined_records{facility=\"" << f.facility
-        << "\"} " << f.totals.quarantined_records << "\n";
-  }
 }
 
 }  // namespace rfidsim::fleet

@@ -9,11 +9,10 @@
 // the snapshot is available — and identical — whether obs hooks are on,
 // off, or compiled out.
 //
-// Two serializations of the same snapshot:
-//   write_health_json        one JSON object (dashboards, test assertions)
-//   write_health_prometheus  Prometheus text exposition (scrape endpoints)
-// Both are deterministic: facilities ascending, fixed key order, fixed
-// float formatting.
+// write_health_json serializes the snapshot as one JSON object
+// (dashboards, test assertions). It is deterministic: facilities
+// ascending, fixed key order, fixed float formatting. Scrape endpoints
+// read the obs registry's exposition (MetricsRegistry::write_exposition).
 #pragma once
 
 #include <array>
@@ -36,7 +35,7 @@ struct FacilityHealth {
   /// facility has merged anything.
   double watermark_s = -1.0;
   /// Last pass window end minus the watermark; infinity until anything
-  /// merges (JSON writes -1 for non-finite, Prometheus writes +Inf).
+  /// merges (JSON writes -1 for non-finite).
   double watermark_age_s = 0.0;
   bool watermark_stalled = false;
   std::uint64_t watermark_stall_streak = 0;
@@ -73,11 +72,5 @@ struct FleetHealth {
 
 /// One JSON object, '\n'-terminated. Non-finite doubles are written as -1.
 void write_health_json(std::ostream& out, const FleetHealth& health);
-
-/// Prometheus text exposition (gauge metrics prefixed
-/// rfidsim_fleet_health_*, per-facility series labelled
-/// {facility="N"}, alert counts additionally labelled {type="..."}).
-/// Non-finite doubles are written as +Inf/-Inf.
-void write_health_prometheus(std::ostream& out, const FleetHealth& health);
 
 }  // namespace rfidsim::fleet

@@ -1,58 +1,11 @@
 #include "fleet/query.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.hpp"
 #include "obs/attribution.hpp"
-#include "obs/metrics.hpp"
 
 namespace rfidsim::fleet {
-
-namespace {
-
-/// Query-layer registry hooks: counts per query kind plus a wall-clock
-/// latency histogram (instrument-side only — never read back).
-struct QueryMetrics {
-  obs::Counter& locates = obs::counter("fleet.query.locate");
-  obs::Counter& inventories = obs::counter("fleet.query.inventory");
-  obs::Counter& reconciliations = obs::counter("fleet.query.missing");
-  obs::Histogram& latency = obs::histogram(
-      "fleet.query.latency_seconds", obs::HistogramSpec{1e-7, 4.0, 12});
-};
-
-QueryMetrics& query_metrics() {
-  static QueryMetrics m;
-  return m;
-}
-
-/// RAII wall-clock observation into the query latency histogram, active
-/// only while hooks are enabled.
-class LatencyTimer {
- public:
-  explicit LatencyTimer(obs::Counter& kind) {
-    if (obs::hooks_enabled()) {
-      kind.add(1);
-      begin_ = std::chrono::steady_clock::now();
-      armed_ = true;
-    }
-  }
-  ~LatencyTimer() {
-    if (armed_) {
-      const auto end = std::chrono::steady_clock::now();
-      query_metrics().latency.observe(
-          std::chrono::duration<double>(end - begin_).count());
-    }
-  }
-  LatencyTimer(const LatencyTimer&) = delete;
-  LatencyTimer& operator=(const LatencyTimer&) = delete;
-
- private:
-  std::chrono::steady_clock::time_point begin_{};
-  bool armed_ = false;
-};
-
-}  // namespace
 
 double FacilityModel::identification_rc() const {
   double product = 1.0;
@@ -88,17 +41,36 @@ QueryService::QueryService(const TrackingStore& store,
 }
 
 void QueryService::set_facility_model(FacilityId facility, FacilityModel model) {
-  if (models_.size() <= facility) models_.resize(facility + 1);
-  models_[facility] = std::move(model);
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryModel);
+  const auto it = std::ranges::lower_bound(models_, facility, {}, &ModelEntry::first);
+  if (it != models_.end() && it->first == facility) {
+    it->second = std::move(model);
+  } else {
+    models_.emplace(it, facility, std::move(model));
+  }
 }
 
 const FacilityModel* QueryService::facility_model(FacilityId facility) const {
-  if (facility >= models_.size()) return nullptr;
-  return &models_[facility];
+  const auto it = std::ranges::lower_bound(models_, facility, {}, &ModelEntry::first);
+  return it != models_.end() && it->first == facility ? &it->second : nullptr;
+}
+
+LocateResult QueryService::newest_sighting(track::ObjectId object, double t) const {
+  LocateResult best;
+  for (const scene::TagId tag : registry_.tags_of(object)) {
+    const auto sighting = store_.last_sighting_at(tag, t);
+    if (!sighting.has_value()) continue;
+    if (!best.found || sighting->time_s > best.time_s) {
+      best.found = true;
+      best.facility = sighting->facility;
+      best.time_s = sighting->time_s;
+    }
+  }
+  return best;
 }
 
 LocateResult QueryService::locate(scene::TagId tag, double t) const {
-  const LatencyTimer timer(query_metrics().locates);
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryLocate);
   LocateResult out;
   const auto sighting = store_.last_sighting_at(tag, t);
   if (!sighting.has_value()) return out;
@@ -112,17 +84,8 @@ LocateResult QueryService::locate(scene::TagId tag, double t) const {
 }
 
 LocateResult QueryService::locate(track::ObjectId object, double t) const {
-  const LatencyTimer timer(query_metrics().locates);
-  LocateResult best;
-  for (const scene::TagId tag : registry_.tags_of(object)) {
-    const auto sighting = store_.last_sighting_at(tag, t);
-    if (!sighting.has_value()) continue;
-    if (!best.found || sighting->time_s > best.time_s) {
-      best.found = true;
-      best.facility = sighting->facility;
-      best.time_s = sighting->time_s;
-    }
-  }
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryLocate);
+  LocateResult best = newest_sighting(object, t);
   if (best.found) {
     if (const FacilityModel* model = facility_model(best.facility)) {
       best.confidence = model->identification_rc();
@@ -133,19 +96,10 @@ LocateResult QueryService::locate(track::ObjectId object, double t) const {
 
 std::vector<track::ObjectId> QueryService::inventory(FacilityId facility,
                                                      double t) const {
-  const LatencyTimer timer(query_metrics().inventories);
+  const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryInventory);
   std::vector<track::ObjectId> out;
   for (const track::ObjectId object : registry_.objects()) {
-    LocateResult at;  // locate(object, t) without double-counting metrics.
-    for (const scene::TagId tag : registry_.tags_of(object)) {
-      const auto sighting = store_.last_sighting_at(tag, t);
-      if (!sighting.has_value()) continue;
-      if (!at.found || sighting->time_s > at.time_s) {
-        at.found = true;
-        at.facility = sighting->facility;
-        at.time_s = sighting->time_s;
-      }
-    }
+    const LocateResult at = newest_sighting(object, t);
     if (at.found && at.facility == facility) out.push_back(object);
   }
   std::sort(out.begin(), out.end());
@@ -172,7 +126,6 @@ bool QueryService::sighted_at(track::ObjectId object, FacilityId facility,
 MissingReport QueryService::missing(const track::Manifest& manifest,
                                     FacilityId facility, double window_begin_s,
                                     double window_end_s) const {
-  const LatencyTimer timer(query_metrics().reconciliations);
   const obs::prof::ScopedPhase phase(obs::prof::Phase::kQueryMissing);
   require(window_end_s >= window_begin_s, "QueryService: inverted pass window");
 
@@ -198,19 +151,7 @@ MissingReport QueryService::missing(const track::Manifest& manifest,
     } else {
       // Custody prior: was the object sighted anywhere in the fleet inside
       // the horizon before the window closed?
-      const LocateResult last = [&] {
-        LocateResult res;
-        for (const scene::TagId tag : registry_.tags_of(object)) {
-          const auto sighting = store_.last_sighting_at(tag, window_end_s);
-          if (!sighting.has_value()) continue;
-          if (!res.found || sighting->time_s > res.time_s) {
-            res.found = true;
-            res.facility = sighting->facility;
-            res.time_s = sighting->time_s;
-          }
-        }
-        return res;
-      }();
+      const LocateResult last = newest_sighting(object, window_end_s);
       item.custody_evidence =
           last.found && last.time_s >= window_end_s - config_.custody_horizon_s;
       const double prior = item.custody_evidence ? config_.prior_present_seen

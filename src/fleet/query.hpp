@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "fleet/store.hpp"
@@ -107,8 +108,11 @@ class QueryService {
   QueryService(const TrackingStore& store, const track::ObjectRegistry& registry,
                QueryConfig config = {});
 
-  /// Installs/replaces the reliability model of one facility.
+  /// Installs/replaces the reliability model of one facility. Any id is
+  /// valid; memory grows with the number of facilities, not with the id.
   void set_facility_model(FacilityId facility, FacilityModel model);
+  /// The facility's model, or nullptr when none was set. The pointer is
+  /// valid until the next set_facility_model call.
   const FacilityModel* facility_model(FacilityId facility) const;
 
   /// Latest sighting of the tag (or of any of the object's tags) at or
@@ -127,6 +131,13 @@ class QueryService {
   const QueryConfig& config() const { return config_; }
 
  private:
+  using ModelEntry = std::pair<FacilityId, FacilityModel>;
+
+  /// Newest sighting over the object's tags at or before t (confidence
+  /// left 0). On a time tie the first tag in tags_of order wins. locate,
+  /// inventory and missing's custody prior all answer from it.
+  LocateResult newest_sighting(track::ObjectId object, double t) const;
+
   /// Any sighting of the object's tags at `facility` within [begin, end]?
   bool sighted_at(track::ObjectId object, FacilityId facility, double begin_s,
                   double end_s) const;
@@ -134,7 +145,10 @@ class QueryService {
   const TrackingStore& store_;
   const track::ObjectRegistry& registry_;
   QueryConfig config_;
-  std::vector<FacilityModel> models_;  ///< Indexed by FacilityId; may be sparse.
+  /// Ascending by facility id, found by binary search: memory follows the
+  /// number of facilities (FleetService ids are dense and few), not the
+  /// largest id, as a vector indexed by id would.
+  std::vector<ModelEntry> models_;
 };
 
 }  // namespace rfidsim::fleet

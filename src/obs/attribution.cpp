@@ -77,6 +77,10 @@ const char* phase_name(Phase phase) {
     case Phase::kTrackIngest: return "track_ingest";
     case Phase::kStoreDigest: return "store_digest";
     case Phase::kWireCodec: return "wire_codec";
+    case Phase::kQueryLocate: return "query_locate";
+    case Phase::kQueryInventory: return "query_inventory";
+    case Phase::kQueryModel: return "query_model";
+    case Phase::kFeedMonitor: return "feed_monitor";
   }
   return "unknown";
 }

@@ -2,9 +2,9 @@
 //
 // RAII ScopedPhase markers wrap the simulator's coarse stages (path
 // evaluation, portal simulation, Gen 2 inventory, event-log append, the
-// uploader, the feed, store ingest and its route/merge phases, checkpoints,
-// queries) and are the only stage marker obs has. One marker serves two
-// consumers, each behind its own switch:
+// uploader, the feed and its monitor, store ingest and its route/merge
+// phases, checkpoints, queries) and are the only stage marker obs has.
+// One marker serves two consumers, each behind its own switch:
 //   - attribution accumulates *self time* per phase — time inside a child
 //     phase is charged to the child, never double-counted in the parent —
 //     and the per-run report turns the totals into per-stage shares;
@@ -60,8 +60,12 @@ enum class Phase : std::uint8_t {
   kTrackIngest = 14,   ///< ResilientIngest::ingest / ingest_validated.
   kStoreDigest = 15,   ///< TrackingStore::digest.
   kWireCodec = 16,     ///< upload_wire's frame encode and each strict decode.
+  kQueryLocate = 17,   ///< QueryService::locate (tag and object).
+  kQueryInventory = 18, ///< QueryService::inventory.
+  kQueryModel = 19,    ///< QueryService::set_facility_model.
+  kFeedMonitor = 20,   ///< FacilityFeed::process_pass's monitor observations.
 };
-inline constexpr std::size_t kPhaseCount = 17;
+inline constexpr std::size_t kPhaseCount = 21;
 
 /// Stable lower-snake name ("path_eval", "portal_sim", ...).
 const char* phase_name(Phase phase);

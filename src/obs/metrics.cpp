@@ -234,6 +234,26 @@ std::string escape_label_value(std::string_view value) {
   return out;
 }
 
+void append_json_escaped(std::string& out, std::string_view value) {
+  for (char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+}
+
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   std::map<std::string, Metric, std::less<>> metrics;  ///< Sorted for export.

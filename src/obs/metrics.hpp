@@ -238,7 +238,12 @@ bool write_file_atomically(const std::string& path, void (*write)(std::ostream&)
 
 /// Prometheus label-value escaping (`\` -> `\\`, `"` -> `\"`, newline ->
 /// `\n`), as write_exposition applies to every label value. Exposed for
-/// the structured log and tests.
+/// tests.
 std::string escape_label_value(std::string_view value);
+
+/// Appends `value` JSON-escaped (quotes, backslash, control characters)
+/// to `out`, without surrounding quotes. Used by the benches' record
+/// writer.
+void append_json_escaped(std::string& out, std::string_view value);
 
 }  // namespace rfidsim::obs

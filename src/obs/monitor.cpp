@@ -95,25 +95,17 @@ ReliabilityMonitor::ReliabilityMonitor(MonitorConfig config)
 
 void ReliabilityMonitor::raise(AlertType type, std::uint64_t pass, int reader,
                                double value, double threshold,
-                               const char* detector, double sim_time_s) {
+                               const char* detector) {
   alerts_.push_back(Alert{.type = type,
                           .pass = pass,
                           .reader = reader,
                           .value = value,
                           .threshold = threshold,
                           .detector = detector});
-  // Narration and counters are observability, not detection: they obey
-  // the master obs switch (the structured log checks it internally).
+  // The counter is observability, not detection: it obeys the master obs
+  // switch.
   if (hooks_enabled()) {
     obs::counter("obs.monitor.alerts", {{"type", alert_type_name(type)}}).add(1);
-  }
-  if (log_ != nullptr) {
-    log_->log(LogLevel::kWarn, "obs.monitor", alert_type_name(type), sim_time_s,
-              {{"pass", pass},
-               {"reader", reader},
-               {"value", value},
-               {"threshold", threshold},
-               {"detector", detector}});
   }
 }
 
@@ -133,7 +125,6 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
           "ReliabilityMonitor: reader count changed mid-stream");
 
   const std::uint64_t pass = passes_++;
-  if (log_ != nullptr) log_->new_window();
 
   portal_.add(obs.objects_identified, obs.objects_total);
 
@@ -181,8 +172,7 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
     if (in.rounds == 0 && (max_rounds > 0 || state.baseline_rounds > 0.0)) {
       if (!state.silent_latched) {
         state.silent_latched = true;
-        raise(AlertType::kSilence, pass, static_cast<int>(r), 0.0, 0.0, "silence",
-              obs.window_end_s);
+        raise(AlertType::kSilence, pass, static_cast<int>(r), 0.0, 0.0, "silence");
       }
     } else {
       state.silent_latched = false;
@@ -194,10 +184,10 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
         state.degraded_latched = true;
         if (state.cusum.alarmed()) {
           raise(AlertType::kReaderDegraded, pass, static_cast<int>(r), cusum,
-                config_.cusum.threshold, "cusum", obs.window_end_s);
+                config_.cusum.threshold, "cusum");
         } else {
           raise(AlertType::kReaderDegraded, pass, static_cast<int>(r), ewma,
-                config_.ewma.threshold, "ewma", obs.window_end_s);
+                config_.ewma.threshold, "ewma");
         }
       }
     } else if (!drifted) {
@@ -218,7 +208,7 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
       if (!divergence_latched_) {
         divergence_latched_ = true;
         raise(AlertType::kModelDivergence, pass, -1, predicted,
-              predicted > hi ? hi : lo, "model", obs.window_end_s);
+              predicted > hi ? hi : lo, "model");
       }
     } else {
       divergence_latched_ = false;
@@ -231,7 +221,7 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
 void ReliabilityMonitor::publish_metrics() const {
   obs::gauge("obs.monitor.observed_rc").set(observed_rc());
   obs::gauge("obs.monitor.predicted_rc").set(predicted_rc());
-  char reader_label[16];
+  char reader_label[24];  // "r" + up to 20 digits of a size_t.
   for (std::size_t r = 0; r < readers_.size(); ++r) {
     std::snprintf(reader_label, sizeof reader_label, "r%zu", r);
     obs::gauge("obs.monitor.reader_read_rate", {{"reader", reader_label}})
@@ -298,8 +288,7 @@ void ReliabilityMonitor::observe_transport(const TransportObservation& obs) {
           obs.frames == 0 ? 1.0
                           : static_cast<double>(obs.corrupt_frames) /
                                 static_cast<double>(obs.frames);
-      raise(AlertType::kWireCorruption, pass, -1, fraction, 0.0, "wire",
-            obs.window_end_s);
+      raise(AlertType::kWireCorruption, pass, -1, fraction, 0.0, "wire");
     }
   } else {
     wire_corruption_latched_ = false;
@@ -309,8 +298,7 @@ void ReliabilityMonitor::observe_transport(const TransportObservation& obs) {
     if (!stale_latched_) {
       stale_latched_ = true;
       raise(AlertType::kStaleBatch, pass, -1,
-            static_cast<double>(obs.stale_batches), 0.0, "stale",
-            obs.window_end_s);
+            static_cast<double>(obs.stale_batches), 0.0, "stale");
     }
   } else {
     stale_latched_ = false;
@@ -347,8 +335,7 @@ void ReliabilityMonitor::observe_watermark(const WatermarkObservation& obs) {
       watermark_latched_ = true;
       raise(AlertType::kWatermarkStalled, pass, -1,
             static_cast<double>(watermark_streak_),
-            static_cast<double>(config_.watermark_stall_passes), "watermark",
-            obs.window_end_s);
+            static_cast<double>(config_.watermark_stall_passes), "watermark");
     }
   }
 

@@ -29,12 +29,12 @@
 //
 // Contracts:
 //   Feedback-free  observe_pass() only reads the observation; nothing
-//                  flows back into simulated state. Registry metrics and
-//                  structured-log narration are gated on hooks_enabled()
-//                  (and disappear under -DRFIDSIM_OBS=OFF), but the
-//                  *detection* logic — estimators, detectors, alerts() —
-//                  is plain deterministic arithmetic that always runs,
-//                  like any other analysis stage.
+//                  flows back into simulated state. Registry metrics are
+//                  gated on hooks_enabled() (and disappear under
+//                  -DRFIDSIM_OBS=OFF), but the *detection* logic —
+//                  estimators, detectors, alerts() — is plain
+//                  deterministic arithmetic that always runs, like any
+//                  other analysis stage.
 //   Determinism    feed passes in pass-index order from one thread and
 //                  the full monitor state (alerts, estimates) is a pure
 //                  function of the observation sequence: byte-identical
@@ -48,7 +48,6 @@
 
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
-#include "obs/structured_log.hpp"
 
 namespace rfidsim::obs {
 
@@ -155,7 +154,7 @@ inline constexpr std::size_t kAlertTypeCount = 6;
 
 /// Stable lower-snake name ("reader_degraded", "model_divergence",
 /// "silence", "wire_corruption", "stale_batch", "watermark_stalled") used
-/// for alert-counter labels and log event names.
+/// for alert-counter labels.
 const char* alert_type_name(AlertType type);
 
 /// One raised alert. Alerts latch: a condition fires once on its rising
@@ -231,15 +230,12 @@ struct MonitorConfig {
 
 /// The streaming monitor. Construct once per portal/run, feed
 /// observe_pass() in pass-index order, read alerts()/estimates at any
-/// point. Optionally narrates into a StructuredLog (one rate-limit
-/// window per pass) and mirrors estimates into the metrics registry —
-/// both only when obs hooks are enabled.
+/// point. Alerts are typed records in alerts(); estimates and alert
+/// counts are mirrored into the metrics registry when obs hooks are
+/// enabled.
 class ReliabilityMonitor {
  public:
   explicit ReliabilityMonitor(MonitorConfig config = {});
-
-  /// Directs alert/estimate narration to `log` (nullptr silences it).
-  void set_log(StructuredLog* log) { log_ = log; }
 
   /// Folds in one pass. Readers must keep the same count and order on
   /// every call.
@@ -296,7 +292,7 @@ class ReliabilityMonitor {
   const MonitorConfig& config() const { return config_; }
 
   /// Returns to the just-constructed state (alerts cleared, detectors
-  /// and windows reset; the log pointer is kept).
+  /// and windows reset).
   void reset();
 
  private:
@@ -311,11 +307,10 @@ class ReliabilityMonitor {
   };
 
   void raise(AlertType type, std::uint64_t pass, int reader, double value,
-             double threshold, const char* detector, double sim_time_s);
+             double threshold, const char* detector);
   void publish_metrics() const;
 
   MonitorConfig config_;
-  StructuredLog* log_ = nullptr;
   std::vector<ReaderState> readers_;
   SlidingWindowRate portal_;
   std::vector<Alert> alerts_;

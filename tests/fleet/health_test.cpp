@@ -1,5 +1,5 @@
-// The fleet health surface: FleetService::health_snapshot() and its two
-// serializations. The snapshot is built from always-on state (feed totals,
+// The fleet health surface: FleetService::health_snapshot() and its JSON
+// serialization. The snapshot is built from always-on state (feed totals,
 // monitor arithmetic, store stats), so every structural assertion here
 // holds with obs hooks on, off, or compiled out — only the provenance
 // chain test at the bottom needs hooks.
@@ -200,50 +200,6 @@ TEST(FleetHealthTest, JsonRowsCarryStallStateAndSentinelAges) {
   EXPECT_NE(json.find("\"totals\":{\"delivered_batches\":"), std::string::npos);
 }
 
-TEST(FleetHealthTest, PrometheusExpositionKeepsInfinitiesScrapeable) {
-  const track::ObjectRegistry registry = three_object_registry();
-  FleetService service(registry);
-  const FacilityId healthy = service.add_facility(feed_config(2, 3));
-  const FacilityId dark = service.add_facility(feed_config(2, 3));
-  Rng rng(7);
-  const sys::EventLog empty;
-  for (int pass = 0; pass < 4; ++pass) {
-    const double begin = 10.0 * pass;
-    (void)service.ingest_pass(healthy, full_pass({1, 2, 3}, 2, begin), begin,
-                              begin + 10.0, rng);
-    (void)service.ingest_pass(dark, empty, begin, begin + 10.0, rng);
-  }
-  std::ostringstream out;
-  write_health_prometheus(out, service.health_snapshot());
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE rfidsim_fleet_health_facilities gauge\n"
-                      "rfidsim_fleet_health_facilities 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_stalled_facilities 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_min_watermark_seconds -1.000000\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_watermark_stalled{facility=\"" +
-                      std::to_string(dark) + "\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_watermark_age_seconds{facility=\"" +
-                      std::to_string(dark) + "\"} +Inf\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_alerts{facility=\"" +
-                      std::to_string(dark) + "\",type=\"watermark_stalled\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_watermark_seconds{facility=\"" +
-                      std::to_string(healthy) + "\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE rfidsim_fleet_health_provenance_dropped_records "
-                      "gauge\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_flight_dump_failures "),
-            std::string::npos);
-  EXPECT_NE(text.find("rfidsim_fleet_health_crash_handler_installed "),
-            std::string::npos);
-}
-
 /// The always-on contract, stated as an equality: the serialized snapshot
 /// of an identical run must be byte-identical with the obs master switch
 /// on and off (and the OBS=OFF CI job re-runs this whole file compiled
@@ -264,9 +220,7 @@ TEST(FleetHealthTest, SnapshotIsByteIdenticalWithHooksOff) {
     }
     std::ostringstream json;
     write_health_json(json, service.health_snapshot());
-    std::ostringstream prom;
-    write_health_prometheus(prom, service.health_snapshot());
-    return json.str() + prom.str();
+    return json.str();
   };
   const bool saved = obs::enabled();
   obs::set_enabled(true);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
 #include "reliability/analytical.hpp"
 
@@ -180,6 +183,75 @@ TEST_F(QueryServiceTest, CustodyEvidenceExpiresWithTheHorizon) {
   ASSERT_EQ(stale.items.size(), 1u);
   EXPECT_FALSE(stale.items[0].custody_evidence);
   EXPECT_EQ(stale.items[0].verdict, MissingVerdict::kProbablyAbsent);
+}
+
+TEST_F(QueryServiceTest, LocateInventoryAndCustodyAgreeOnTheNewestSighting) {
+  // Object E carries tags 32 and 31, bound in that order. At t = 5 both
+  // are sighted, 32 at facility 2 and 31 at facility 1: a tie, which the
+  // first tag in tags_of order (32) wins. At t = 50 tag 31 alone is
+  // sighted again at facility 1, which makes it the newest sighting.
+  const track::ObjectId object_e = registry_.add_object("pallet-e");
+  registry_.bind_tag(scene::TagId{32}, object_e);
+  registry_.bind_tag(scene::TagId{31}, object_e);
+  store_.ingest(batch(2, 10.0, {event(5.0, 32)}));
+  store_.ingest(batch(1, 10.0, {event(5.0, 31)}));
+  store_.ingest(batch(1, 60.0, {event(50.0, 31)}));
+  // A 15 s horizon puts each window's winning sighting exactly on the
+  // custody boundary, so an older pick would lose the evidence.
+  QueryConfig config;
+  config.custody_horizon_s = 15.0;
+  QueryService query(store_, registry_, config);
+  const auto holds = [&](FacilityId facility, double t) {
+    const std::vector<track::ObjectId> objects = query.inventory(facility, t);
+    return std::find(objects.begin(), objects.end(), object_e) != objects.end();
+  };
+  track::Manifest manifest;
+  manifest.expected = {object_e};
+
+  const LocateResult tie = query.locate(object_e, 20.0);
+  ASSERT_TRUE(tie.found);
+  EXPECT_EQ(tie.facility, 2u);
+  EXPECT_DOUBLE_EQ(tie.time_s, 5.0);
+  EXPECT_TRUE(holds(2, 20.0));
+  EXPECT_FALSE(holds(1, 20.0));
+  const MissingReport at_tie = query.missing(manifest, 0, 10.0, 20.0);
+  ASSERT_EQ(at_tie.items.size(), 1u);
+  EXPECT_TRUE(at_tie.items[0].custody_evidence);  // 5 >= 20 - 15.
+
+  const LocateResult newer = query.locate(object_e, 60.0);
+  ASSERT_TRUE(newer.found);
+  EXPECT_EQ(newer.facility, 1u);
+  EXPECT_DOUBLE_EQ(newer.time_s, 50.0);
+  EXPECT_TRUE(holds(1, 60.0));
+  EXPECT_FALSE(holds(2, 60.0));
+  const MissingReport later = query.missing(manifest, 0, 55.0, 65.0);
+  ASSERT_EQ(later.items.size(), 1u);
+  EXPECT_TRUE(later.items[0].custody_evidence);  // 50 >= 65 - 15; 5 is not.
+}
+
+TEST_F(QueryServiceTest, FacilityModelTakesAnyFacilityId) {
+  // The largest id: a table indexed by id would need 2^32 entries, and
+  // resizing it to facility + 1 wraps to 0 in 32-bit arithmetic.
+  constexpr FacilityId kLast = 0xFFFFFFFFu;
+  store_.ingest(batch(kLast, 10.0, {event(1.0, 2)}));
+  QueryService query(store_, registry_);
+  FacilityModel model;
+  model.reader_read_rates = {0.8};
+  query.set_facility_model(kLast, model);
+  model.reader_read_rates = {0.5};
+  query.set_facility_model(3, model);
+
+  ASSERT_NE(query.facility_model(kLast), nullptr);
+  EXPECT_DOUBLE_EQ(query.facility_model(kLast)->identification_rc(), 0.8);
+  ASSERT_NE(query.facility_model(3), nullptr);
+  EXPECT_DOUBLE_EQ(query.facility_model(3)->identification_rc(), 0.5);
+  EXPECT_EQ(query.facility_model(0), nullptr);
+  EXPECT_EQ(query.facility_model(kLast - 1), nullptr);
+  EXPECT_DOUBLE_EQ(query.locate(object_b_, 10.0).confidence, 0.8);
+
+  model.reader_read_rates = {0.25};
+  query.set_facility_model(kLast, model);  // Replaces, does not add.
+  EXPECT_DOUBLE_EQ(query.facility_model(kLast)->identification_rc(), 0.25);
 }
 
 TEST_F(QueryServiceTest, RejectsBadConfig) {

@@ -269,6 +269,15 @@ TEST(LabelTest, EscapeLabelValueHandlesBackslashQuoteNewline) {
   EXPECT_EQ(escape_label_value("\\\"\n"), "\\\\\\\"\\n");
 }
 
+TEST(JsonEscapeTest, AppendJsonEscapedHandlesControlCharacters) {
+  std::string out;
+  append_json_escaped(out, std::string_view("\x01\x1f ok", 5));
+  EXPECT_EQ(out, "\\u0001\\u001f ok");
+  out.clear();
+  append_json_escaped(out, "a\"b\\c\nd\te\r");
+  EXPECT_EQ(out, "a\\\"b\\\\c\\nd\\te\\r");
+}
+
 TEST(LabelTest, SameLabelsReturnSameHandleRegardlessOfOrder) {
   MetricsRegistry reg;
   Counter& a = reg.counter("portal.reader_rounds", {{"reader", "0"}, {"site", "x"}});

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
@@ -236,28 +234,6 @@ TEST(ReliabilityMonitorTest, AlertsAreCountedInRegistryWhenHooksLive) {
   down.readers[0].rounds = 0;
   mon.observe_pass(down);
   EXPECT_EQ(silences.value() - before, kHooksLive ? 1u : 0u);
-  set_enabled(saved);
-}
-
-TEST(ReliabilityMonitorTest, NarratesAlertsIntoStructuredLog) {
-  const bool saved = enabled();
-  set_enabled(true);
-  std::ostringstream out;
-  StructuredLog log;
-  log.set_sink(&out);
-  ReliabilityMonitor mon;
-  mon.set_log(&log);
-  PassObservation down = healthy_pass(0.0);
-  down.readers[1].rounds = 0;
-  mon.observe_pass(down);
-  if (kHooksLive) {
-    EXPECT_EQ(out.str(),
-              "{\"lvl\":\"warn\",\"comp\":\"obs.monitor\",\"event\":\"silence\","
-              "\"t_s\":1,\"pass\":0,\"reader\":1,\"value\":0,\"threshold\":0,"
-              "\"detector\":\"silence\"}\n");
-  } else {
-    EXPECT_TRUE(out.str().empty());
-  }
   set_enabled(saved);
 }
 

@@ -62,7 +62,8 @@ constexpr std::array<Phase, kPhaseCount> kAllPhases = {
     Phase::kGen2Fusion,      Phase::kFeedPass,      Phase::kStoreIngest,
     Phase::kCheckpointWrite, Phase::kCheckpointRestore, Phase::kQueryMissing,
     Phase::kUpload,          Phase::kUploadWire,    Phase::kTrackIngest,
-    Phase::kStoreDigest,     Phase::kWireCodec,
+    Phase::kStoreDigest,     Phase::kWireCodec,     Phase::kQueryLocate,
+    Phase::kQueryInventory,  Phase::kQueryModel,    Phase::kFeedMonitor,
 };
 
 /// Saves and restores the global obs + attribution switches around a test.
@@ -107,6 +108,10 @@ TEST(ProfPhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(phase_name(Phase::kTrackIngest), "track_ingest");
   EXPECT_STREQ(phase_name(Phase::kStoreDigest), "store_digest");
   EXPECT_STREQ(phase_name(Phase::kWireCodec), "wire_codec");
+  EXPECT_STREQ(phase_name(Phase::kQueryLocate), "query_locate");
+  EXPECT_STREQ(phase_name(Phase::kQueryInventory), "query_inventory");
+  EXPECT_STREQ(phase_name(Phase::kQueryModel), "query_model");
+  EXPECT_STREQ(phase_name(Phase::kFeedMonitor), "feed_monitor");
 }
 
 TEST(ProfPhaseTest, EnvModeProfRequestsProfiling) {
@@ -220,8 +225,9 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
     for (const fleet::FacilityBatch& batch : batches) store.ingest(batch);
 
     // The fleet path on a store of the same thread count: feed passes
-    // (upload, track ingest, store ingest), a checkpoint round trip and a
-    // manifest reconciliation.
+    // (upload, monitor, track ingest, store ingest, model refresh), a
+    // checkpoint round trip, a manifest reconciliation, two locates and an
+    // inventory.
     track::ObjectRegistry registry;
     track::Manifest manifest;
     for (std::uint64_t tag = 1; tag <= 3; ++tag) {
@@ -245,6 +251,9 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
     const fleet::TrackingStore restored = fleet::restore_checkpoint(snapshot, threads);
     EXPECT_EQ(restored.digest(), service.store().digest());
     service.query().missing(manifest, facility, 20.0, 30.0);
+    service.query().locate(scene::TagId{1}, 30.0);
+    service.query().locate(registry.objects().front(), 30.0);
+    service.query().inventory(facility, 30.0);
 
     std::array<std::uint64_t, kPhaseCount> calls{};
     for (std::size_t i = 0; i < kPhaseCount; ++i) {
@@ -277,6 +286,13 @@ TEST_F(ProfTest, AttributionCallsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(at(Phase::kCheckpointWrite), 1u);
     EXPECT_EQ(at(Phase::kCheckpointRestore), 1u);
     EXPECT_EQ(at(Phase::kQueryMissing), 1u);
+    // locate(tag) and locate(object); inventory and missing answer from
+    // the shared sighting helper, not from locate.
+    EXPECT_EQ(at(Phase::kQueryLocate), 2u);
+    EXPECT_EQ(at(Phase::kQueryInventory), 1u);
+    // One model refresh and one monitor block per ingest_pass.
+    EXPECT_EQ(at(Phase::kQueryModel), 3u);
+    EXPECT_EQ(at(Phase::kFeedMonitor), 3u);
     // The checkpoint's closing digest, the restore's check against it,
     // and the two compared above.
     EXPECT_EQ(at(Phase::kStoreDigest), 4u);
