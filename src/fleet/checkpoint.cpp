@@ -9,6 +9,7 @@
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
+#include "sweep/sweep.hpp"
 
 namespace rfidsim::fleet {
 
@@ -36,6 +37,82 @@ bool get_stats(wire::Reader& r, StoreStats& s) {
 
 [[noreturn]] void fail(CheckpointErrorKind kind, const std::string& message) {
   throw CheckpointError(kind, message);
+}
+
+/// Longest varint of a value of unsigned type T.
+template <typename T>
+constexpr std::size_t max_varint_bytes() {
+  return (std::numeric_limits<T>::digits + 6) / 7;
+}
+
+/// Longest encodings: a sighting (zigzag time-bit delta, facility, reader,
+/// antenna), a timeline's key and count, a shard frame's six leading
+/// varints, and the end frame.
+constexpr std::size_t kMaxSightingBytes =
+    wire::kMaxVarintBytes + max_varint_bytes<FacilityId>() +
+    max_varint_bytes<decltype(Sighting::reader)>() +
+    max_varint_bytes<decltype(Sighting::antenna)>();
+constexpr std::size_t kMaxTimelineHeadBytes = 2 * wire::kMaxVarintBytes;
+constexpr std::size_t kMaxShardHeadBytes = 6 * wire::kMaxVarintBytes;
+constexpr std::size_t kMaxEndFrameBytes = wire::kFrameOverhead + wire::kMaxVarintBytes + 8;
+
+/// One written shard's complete kCheckpointShard frame and its tallies.
+struct ShardFrame {
+  std::vector<std::uint8_t> bytes;
+  std::size_t timelines = 0;
+  std::size_t sightings = 0;
+  bool closed = false;  ///< False: the payload exceeds kMaxPayloadBytes.
+};
+
+/// Encodes shard `s` into `frame`: index, counters, then its timelines
+/// (EPC-delta keys, per-sighting time-bit deltas — the batch codec's
+/// tricks), written through one pointer into room sized for the worst case
+/// and trimmed. Runs in a sweep cell, so it must not throw: a payload too
+/// large for one frame stays open and the calling thread reports it.
+/// Opens no obs phase, so phase call counts do not depend on threads.
+void encode_shard(const TrackingStore& store, std::size_t s, ShardFrame& frame) {
+  store.visit_shard(s, [&](std::uint64_t, const std::vector<Sighting>& tl) {
+    ++frame.timelines;
+    frame.sightings += tl.size();
+  });
+  std::vector<std::uint8_t>& out = frame.bytes;
+  const std::size_t at = wire::open_frame(out, wire::OpCode::kCheckpointShard);
+  const std::size_t begin = out.size();
+  out.resize(begin + kMaxShardHeadBytes + kMaxTimelineHeadBytes * frame.timelines +
+             kMaxSightingBytes * frame.sightings);
+  std::uint8_t* p = out.data() + begin;
+  const TrackingStore::ShardCounters counters = store.shard_counters(s);
+  p = wire::write_varint(p, s);
+  p = wire::write_varint(p, counters.sightings);
+  p = wire::write_varint(p, counters.duplicates);
+  p = wire::write_varint(p, counters.repairs);
+  p = wire::write_varint(p, counters.version);
+  p = wire::write_varint(p, frame.timelines);
+  std::uint64_t prev_epc = 0;
+  store.visit_shard(s, [&](std::uint64_t epc, const std::vector<Sighting>& tl) {
+    // EPCs stream in ascending order, so deltas stay small varints (the
+    // first key's delta from 0 is the key itself).
+    p = wire::write_varint(p, epc - prev_epc);
+    prev_epc = epc;
+    p = wire::write_varint(p, tl.size());
+    // Time travels as IEEE-754 bit-pattern deltas: lossless, and
+    // time-sorted timelines keep deltas compact.
+    std::uint64_t prev_bits = 0;
+    for (const Sighting& x : tl) {
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(x.time_s);
+      p = wire::write_varint(p, wire::zigzag(static_cast<std::int64_t>(bits - prev_bits)));
+      prev_bits = bits;
+      p = wire::write_varint(p, x.facility);
+      p = wire::write_varint(p, x.reader);
+      p = wire::write_varint(p, x.antenna);
+    }
+  });
+  out.resize(static_cast<std::size_t>(p - out.data()));
+  if (out.size() - begin > wire::kMaxPayloadBytes) return;
+  wire::close_frame(out, at);
+  // Every frame lives until assembly; give back the worst-case room now.
+  out.shrink_to_fit();
+  frame.closed = true;
 }
 
 }  // namespace
@@ -73,71 +150,51 @@ std::vector<std::uint8_t> Checkpointer::write(const TrackingStore& store,
   st.incremental = incremental;
   st.sequence = next_sequence_++;
 
-  std::vector<std::uint8_t> out;
-  std::vector<std::uint8_t> payload;
-
   // Header: kind, sequence, shard roster size, ingest tallies.
-  payload.push_back(incremental ? 1 : 0);
-  wire::put_varint(payload, st.sequence);
-  wire::put_varint(payload, shard_count);
-  put_stats(payload, store.stats());
-  wire::append_frame(out, wire::OpCode::kCheckpointHeader, payload);
+  std::vector<std::uint8_t> out;
+  std::size_t at = wire::open_frame(out, wire::OpCode::kCheckpointHeader);
+  out.push_back(incremental ? 1 : 0);
+  wire::put_varint(out, st.sequence);
+  wire::put_varint(out, shard_count);
+  put_stats(out, store.stats());
+  wire::close_frame(out, at);
 
   // One frame per written shard. A full snapshot writes every shard (even
   // empty ones — predictable framing beats a few saved bytes); an
   // incremental writes only shards whose version moved since the baseline.
-  std::vector<std::uint8_t> body;
+  std::vector<std::size_t> written;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    const TrackingStore::ShardCounters counters = store.shard_counters(s);
-    if (incremental && counters.version == baseline_versions_[s]) {
+    if (incremental && store.shard_version(s) == baseline_versions_[s]) {
       ++st.shards_skipped;
-      continue;
+    } else {
+      written.push_back(s);
     }
-    payload.clear();
-    wire::put_varint(payload, s);
-    wire::put_varint(payload, counters.sightings);
-    wire::put_varint(payload, counters.duplicates);
-    wire::put_varint(payload, counters.repairs);
-    wire::put_varint(payload, counters.version);
-
-    body.clear();
-    std::uint64_t timelines = 0;
-    std::uint64_t prev_epc = 0;
-    store.visit_shard(s, [&](std::uint64_t epc,
-                             const std::vector<Sighting>& tl) {
-      // EPCs stream in ascending order, so deltas stay small varints.
-      wire::put_varint(body, timelines == 0 ? epc : epc - prev_epc);
-      prev_epc = epc;
-      wire::put_varint(body, tl.size());
-      // Time travels as IEEE-754 bit-pattern deltas (the batch codec's
-      // trick): lossless, and time-sorted timelines keep deltas compact.
-      std::uint64_t prev_bits = 0;
-      for (const Sighting& x : tl) {
-        const std::uint64_t bits = std::bit_cast<std::uint64_t>(x.time_s);
-        wire::put_varint_signed(body,
-                                static_cast<std::int64_t>(bits - prev_bits));
-        prev_bits = bits;
-        wire::put_varint(body, x.facility);
-        wire::put_varint(body, x.reader);
-        wire::put_varint(body, x.antenna);
-      }
-      ++timelines;
-      st.sightings_written += tl.size();
-    });
-    wire::put_varint(payload, timelines);
-    payload.insert(payload.end(), body.begin(), body.end());
-    wire::append_frame(out, wire::OpCode::kCheckpointShard, payload);
+  }
+  // One cell per written shard encodes its whole frame into its own
+  // buffer, on the store's ingest threads. The frames join the output in
+  // shard order, so the bytes are the same at every thread count.
+  std::vector<ShardFrame> frames(written.size());
+  sweep::parallel_for(written.size(), sweep::SweepOptions{store.config().threads},
+                      [&](std::size_t i) { encode_shard(store, written[i], frames[i]); });
+  std::size_t total = out.size() + kMaxEndFrameBytes;
+  for (const ShardFrame& f : frames) total += f.bytes.size();
+  out.reserve(total);
+  for (ShardFrame& f : frames) {
+    require(f.closed, "Checkpointer: shard payload exceeds wire::kMaxPayloadBytes");
+    out.insert(out.end(), f.bytes.begin(), f.bytes.end());
+    f.bytes = std::vector<std::uint8_t>();  // Free as we go.
     ++st.shards_written;
-    st.timelines_written += static_cast<std::size_t>(timelines);
+    st.timelines_written += f.timelines;
+    st.sightings_written += f.sightings;
   }
 
   // End: shard frames written and the whole-store digest at snapshot time.
   // The digest always covers the full store, so restoring a chain proves
   // every link end-to-end, not just the shards the link carried.
-  payload.clear();
-  wire::put_varint(payload, st.shards_written);
-  wire::put_u64le(payload, store.digest());
-  wire::append_frame(out, wire::OpCode::kCheckpointEnd, payload);
+  at = wire::open_frame(out, wire::OpCode::kCheckpointEnd);
+  wire::put_varint(out, st.shards_written);
+  wire::put_u64le(out, store.digest());
+  wire::close_frame(out, at);
 
   baseline_versions_.resize(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -257,6 +314,7 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
         std::vector<std::pair<std::uint64_t, std::vector<Sighting>>> timelines;
         timelines.reserve(static_cast<std::size_t>(timeline_count));
         std::uint64_t prev_epc = 0;
+        std::uint64_t decoded = 0;  // Sightings across this frame's timelines.
         for (std::uint64_t i = 0; i < timeline_count; ++i) {
           std::uint64_t delta = 0;
           if (!r.get_varint(delta)) {
@@ -269,11 +327,20 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
                  "checkpoint: timeline keys not strictly ascending");
           }
           prev_epc = epc;
+          // The digest walks EPCs regardless of shard, so only this check
+          // keeps a misfiled timeline (unreachable by lookup, duplicated by
+          // the next ingest of its tag) out of the store.
+          if (store->shard_of(scene::TagId{epc}) != index) {
+            fail(CheckpointErrorKind::kShardMismatch,
+                 "checkpoint: timeline " + std::to_string(epc) +
+                     " filed under shard " + std::to_string(index));
+          }
           std::uint64_t n = 0;
           if (!r.get_varint(n) || n == 0 || n > r.size - r.pos) {
             fail(CheckpointErrorKind::kBadPayload,
                  "checkpoint: implausible sighting count");
           }
+          decoded += n;
           std::vector<Sighting> tl;
           tl.reserve(static_cast<std::size_t>(n));
           std::uint64_t prev_bits = 0;
@@ -282,9 +349,8 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
             std::uint64_t facility = 0, reader = 0, antenna = 0;
             if (!r.get_varint_signed(dbits) || !r.get_varint(facility) ||
                 !r.get_varint(reader) || !r.get_varint(antenna) ||
-                facility > std::numeric_limits<std::uint32_t>::max() ||
-                reader > std::numeric_limits<std::uint32_t>::max() ||
-                antenna > std::numeric_limits<std::uint32_t>::max()) {
+                facility > std::numeric_limits<FacilityId>::max() ||
+                reader > kMaxSightingIndex || antenna > kMaxSightingIndex) {
               fail(CheckpointErrorKind::kBadPayload,
                    "checkpoint: malformed sighting");
             }
@@ -293,14 +359,20 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
             prev_bits = bits;
             tl.push_back(Sighting{std::bit_cast<double>(bits),
                                   static_cast<FacilityId>(facility),
-                                  static_cast<std::uint32_t>(reader),
-                                  static_cast<std::uint32_t>(antenna)});
+                                  static_cast<std::uint16_t>(reader),
+                                  static_cast<std::uint16_t>(antenna)});
           }
           timelines.emplace_back(epc, std::move(tl));
         }
         if (!r.done()) {
           fail(CheckpointErrorKind::kBadPayload,
                "checkpoint: trailing bytes after shard payload");
+        }
+        if (decoded != counters.sightings) {
+          fail(CheckpointErrorKind::kBadPayload,
+               "checkpoint: shard " + std::to_string(index) + " claims " +
+                   std::to_string(counters.sightings) + " sightings, holds " +
+                   std::to_string(decoded));
         }
         store->restore_shard(static_cast<std::size_t>(index),
                              std::move(timelines), counters);
@@ -323,6 +395,21 @@ TrackingStore restore_checkpoint(const std::uint8_t* data, std::size_t size,
           fail(CheckpointErrorKind::kShardMismatch,
                "checkpoint: end frame expected " + std::to_string(written) +
                    " shard frames, saw " + std::to_string(shards_seen));
+        }
+        // The digest covers timelines, not tallies: the header's must be
+        // the sums of the shard counters, as ingest keeps them.
+        TrackingStore::ShardCounters sum;
+        for (std::size_t s = 0; s < shard_count; ++s) {
+          const TrackingStore::ShardCounters c = store->shard_counters(s);
+          sum.sightings += c.sightings;
+          sum.duplicates += c.duplicates;
+          sum.repairs += c.repairs;
+        }
+        const StoreStats& stats = store->stats();
+        if (stats.accepted != sum.sightings || stats.duplicates != sum.duplicates ||
+            stats.repairs != sum.repairs) {
+          fail(CheckpointErrorKind::kBadPayload,
+               "checkpoint: header tallies differ from the shard counters");
         }
         if (store->digest() != digest) {
           fail(CheckpointErrorKind::kDigestMismatch,

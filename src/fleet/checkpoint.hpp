@@ -3,7 +3,7 @@
 // A backend that absorbs millions of sightings cannot afford to lose them
 // to a crash, and a checkpoint it cannot *trust* is worse than none. This
 // module snapshots a TrackingStore into the same checksummed wire framing
-// the uplink uses (wire::append_frame; opcodes kCheckpointHeader /
+// the uplink uses (wire::open_frame/close_frame; opcodes kCheckpointHeader /
 // kCheckpointShard / kCheckpointEnd), so every corruption defence built
 // for the wire — CRC-16 envelopes, strict payload decoding, a typed error
 // taxonomy — protects the durability path for free.
@@ -29,7 +29,11 @@
 //   CheckpointError. It never returns partial state — decoding happens
 //   into a scratch store that is discarded on any failure — and never
 //   crashes on hostile bytes: every read is bounds-checked, every frame
-//   CRC-verified, every structural surprise a typed error.
+//   CRC-verified, every structural surprise a typed error. The digest
+//   covers timelines only, so restore also checks what it cannot see: each
+//   timeline sits in the shard its EPC hashes to, each shard's sightings
+//   counter matches the sightings it holds, and the header's accepted /
+//   duplicates / repairs are the sums of the shard counters.
 #pragma once
 
 #include <cstddef>

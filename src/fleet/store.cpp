@@ -135,6 +135,7 @@ void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
   struct RoutedBatch {
     std::vector<RoutedSighting> events;     ///< Grouped by shard, stable.
     std::vector<std::uint32_t> offsets;     ///< [shard, shard+1) event range.
+    bool out_of_range = false;  ///< An index exceeds kMaxSightingIndex.
   };
   std::vector<RoutedBatch> routed(batches.size());
   // Phase markers sit on this orchestrating thread: parallel_for blocks
@@ -159,13 +160,20 @@ void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
     std::vector<std::uint32_t> cursor(rb.offsets.begin(), rb.offsets.end() - 1);
     for (std::size_t i = 0; i < n; ++i) {
       const sys::ReadEvent& ev = batch.events[i];
+      rb.out_of_range |= ev.reader_index > kMaxSightingIndex ||
+                         ev.antenna_index > kMaxSightingIndex;
       rb.events[cursor[shard_of_event[i]]++] =
           {ev.tag.value, Sighting{ev.time_s, batch.facility,
-                                  static_cast<std::uint32_t>(ev.reader_index),
-                                  static_cast<std::uint32_t>(ev.antenna_index)}};
+                                  static_cast<std::uint16_t>(ev.reader_index),
+                                  static_cast<std::uint16_t>(ev.antenna_index)}};
     }
   });
   phase.reset();
+  // Cells must not throw, so they only flag; no shard has been touched yet.
+  for (const RoutedBatch& rb : routed) {
+    require(!rb.out_of_range,
+            "TrackingStore::ingest: reader or antenna index exceeds 0xFFFF");
+  }
 
   // Phase 2 — merge: shard s folds in its slice of every batch, in batch
   // order. Cell s touches only shards_[s]; no two cells share a timeline,
@@ -315,8 +323,16 @@ std::uint64_t TrackingStore::digest() const {
   }
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The walk hops between shards' cold timelines: fetch each timeline's
+  // vector header kHeaderAhead steps early, and its sightings (through the
+  // header fetched by then) kDataAhead steps early.
+  constexpr std::size_t kHeaderAhead = 16;
+  constexpr std::size_t kDataAhead = 8;
   std::uint64_t hash = kFnvBasis;
-  for (const auto& [epc, tl] : all) {
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i + kHeaderAhead < all.size()) __builtin_prefetch(all[i + kHeaderAhead].second);
+    if (i + kDataAhead < all.size()) __builtin_prefetch(all[i + kDataAhead].second->data());
+    const auto& [epc, tl] = all[i];
     hash = fnv1a(hash, epc);
     hash = fnv1a(hash, tl->size());
     for (const Sighting& s : *tl) {

@@ -47,15 +47,21 @@ using FacilityId = std::uint32_t;
 /// One accepted read of one tag, as the store keeps it: where and when the
 /// tag was seen and through which infrastructure. RSSI is deliberately not
 /// retained — custody queries never need it, and dropping it keeps a
-/// million-sighting store lean.
+/// million-sighting store lean. Reader and antenna indices are 16-bit, the
+/// range digest() folds without aliasing (kMaxSightingIndex).
 struct Sighting {
   double time_s = 0.0;
   FacilityId facility = 0;
-  std::uint32_t reader = 0;
-  std::uint32_t antenna = 0;
+  std::uint16_t reader = 0;
+  std::uint16_t antenna = 0;
 
   friend bool operator==(const Sighting&, const Sighting&) = default;
 };
+static_assert(sizeof(Sighting) == 16);
+
+/// Largest reader or antenna index a Sighting holds. ingest() throws on an
+/// event beyond it; restore rejects a sighting beyond it.
+inline constexpr std::size_t kMaxSightingIndex = 0xFFFF;
 
 /// Total order used for timeline storage: chronological, with a stable
 /// infrastructure tie-break so equal-time sightings from different paths
@@ -81,8 +87,9 @@ struct StoreConfig {
   /// Timeline shards. More shards = finer ingest parallelism; the stored
   /// state and digest are independent of the count.
   std::size_t shard_count = 64;
-  /// Worker threads for bulk ingest: 0 borrows the shared sweep engine,
-  /// 1 forces the serial path. Results are identical either way.
+  /// Worker threads for bulk ingest and for encoding checkpoint shards: 0
+  /// borrows the shared sweep engine, 1 forces the serial path. Results,
+  /// checkpoint bytes included, are identical either way.
   std::size_t threads = 1;
 };
 
@@ -103,7 +110,9 @@ class TrackingStore {
   explicit TrackingStore(StoreConfig config = {});
 
   /// Routes and merges a sequence of batches (applied in the given order
-  /// within each shard). Safe to call repeatedly; not concurrently.
+  /// within each shard). Safe to call repeatedly; not concurrently. Throws
+  /// ConfigError, leaving the store untouched, if any event's reader or
+  /// antenna index exceeds kMaxSightingIndex.
   void ingest(const std::vector<FacilityBatch>& batches);
   void ingest(const FacilityBatch& batch);
 
@@ -137,7 +146,8 @@ class TrackingStore {
   // The snapshot layer reads shards through these accessors and rebuilds
   // them through restore_shard/restore_stats. Restore replaces state
   // wholesale; it is not an ingest path and performs no validation beyond
-  // structure — the checkpoint reader owns integrity (CRC + digest).
+  // structure — the checkpoint reader owns integrity (CRC, shard filing,
+  // counters, digest).
 
   /// Per-shard bookkeeping the checkpoint must carry so a restored store's
   /// stats() stay faithful. `version` is a monotonic mutation counter
@@ -158,9 +168,10 @@ class TrackingStore {
                                             const std::vector<Sighting>&)>& fn) const;
 
   /// Replaces one shard's contents wholesale. `timelines` must be sorted
-  /// ascending by EPC with each timeline in sighting_less order (the
-  /// checkpoint wrote them that way; restore trusts the digest check to
-  /// catch anything else).
+  /// ascending by EPC, each EPC must belong to `shard`, and each timeline
+  /// must be in sighting_less order (the checkpoint wrote them that way;
+  /// the checkpoint reader checks the filing and trusts the digest check
+  /// to catch the rest).
   void restore_shard(
       std::size_t shard,
       std::vector<std::pair<std::uint64_t, std::vector<Sighting>>> timelines,

@@ -130,7 +130,9 @@ void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
                   std::uint8_t version) {
   require(payload.size() <= kMaxPayloadBytes,
           "wire::append_frame: payload exceeds kMaxPayloadBytes");
-  out.reserve(out.size() + payload.size() + kFrameOverhead);
+  // No exact reserve here: appending frame after frame to one buffer would
+  // then reallocate and copy it every time. The vector's own geometric
+  // growth keeps that amortized.
   const std::size_t frame = open_frame(out, opcode, version);
   out.insert(out.end(), payload.begin(), payload.end());
   close_frame(out, frame);

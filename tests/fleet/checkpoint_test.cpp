@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "fleet/store.hpp"
 #include "wire/wire.hpp"
@@ -145,6 +150,64 @@ TEST(CheckpointTest, NoOpIncrementalWritesNoShards) {
   EXPECT_EQ(restore_checkpoint(chain).digest(), store.digest());
 }
 
+std::uint64_t fnv1a_bytes(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = kFnvBasis;
+  for (const std::uint8_t b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  return hash;
+}
+
+/// A full snapshot and a follow-up incremental of a seeded multi-facility
+/// store fed late, out-of-order and re-delivered batches.
+std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>> pinned_snapshots(
+    std::size_t threads) {
+  TrackingStore store(StoreConfig{16, threads});
+  Rng rng(2007);
+  std::vector<FacilityBatch> batches;
+  for (std::size_t b = 0; b < 24; ++b) {
+    FacilityBatch batch = make_batch(rng, static_cast<FacilityId>(b % 4),
+                                     5.0 * static_cast<double>(b), 60, 300);
+    if (b % 5 == 3) batch.arrival_time_s += 2.5;  // Delayed in transit.
+    batches.push_back(std::move(batch));
+  }
+  // Even batches first, then the odd ones they overtook (mid-timeline
+  // repairs), then a re-delivery of the first eight (duplicates).
+  std::vector<FacilityBatch> even, odd;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    (b % 2 == 0 ? even : odd).push_back(batches[b]);
+  }
+  store.ingest(even);
+  store.ingest(odd);
+  store.ingest(std::vector<FacilityBatch>(batches.begin(), batches.begin() + 8));
+
+  Checkpointer cp;
+  std::vector<std::uint8_t> full = cp.full(store);
+  // A small late batch, then its re-delivery: few shards change.
+  const FacilityBatch tail = make_batch(rng, 1, 40.0, 6, 300);
+  store.ingest(tail);
+  store.ingest(tail);
+  std::vector<std::uint8_t> inc = cp.incremental(store);
+  EXPECT_TRUE(cp.last_stats().incremental);
+  EXPECT_GT(cp.last_stats().shards_skipped, 0u);
+  return {std::move(full), std::move(inc)};
+}
+
+TEST(CheckpointTest, SnapshotBytesArePinnedAtEveryThreadCount) {
+  // Restore tests compare digests only, which a different but valid
+  // encoding would pass. Pin the bytes themselves: identical at every
+  // store thread count, and equal to what the serial writer produced
+  // before shards were encoded in parallel.
+  const auto serial = pinned_snapshots(1);
+  EXPECT_EQ(serial.first.size(), 17136u);
+  EXPECT_EQ(fnv1a_bytes(serial.first), 0xa9d379048d20b929ULL);
+  EXPECT_EQ(serial.second.size(), 6621u);
+  EXPECT_EQ(fnv1a_bytes(serial.second), 0x014acf748a0ffecdULL);
+  for (const std::size_t threads : {2u, 4u, 0u}) {
+    const auto parallel = pinned_snapshots(threads);
+    EXPECT_EQ(parallel.first, serial.first) << "threads " << threads;
+    EXPECT_EQ(parallel.second, serial.second) << "threads " << threads;
+  }
+}
+
 TEST(CheckpointTest, EmptyStoreRoundTrips) {
   const TrackingStore store{StoreConfig{8, 1}};
   Checkpointer cp;
@@ -256,6 +319,168 @@ TEST(CheckpointErrorTest, EventBatchFrameBeforeHeaderIsMissingHeader) {
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), CheckpointErrorKind::kMissingHeader);
+  }
+}
+
+// --- Forged snapshots: streams the writer never produces, hand-encoded in
+// its format, for the defects the end digest does not cover. ---------------
+
+struct ForgedSighting {
+  double time_s = 0.0;
+  std::uint64_t facility = 0;
+  std::uint64_t reader = 0;
+  std::uint64_t antenna = 0;
+};
+
+struct ForgedShard {
+  std::uint64_t index = 0;
+  TrackingStore::ShardCounters counters;
+  std::vector<std::pair<std::uint64_t, std::vector<ForgedSighting>>> timelines;
+};
+
+std::vector<std::uint8_t> forge_snapshot(std::uint64_t shard_count, const StoreStats& stats,
+                                         const std::vector<ForgedShard>& shards,
+                                         std::uint64_t digest) {
+  std::vector<std::uint8_t> out, payload;
+  payload.push_back(0);          // kind = full
+  wire::put_varint(payload, 0);  // sequence
+  wire::put_varint(payload, shard_count);
+  for (const std::uint64_t v : {stats.batches, stats.events, stats.accepted, stats.duplicates,
+                                stats.repairs, stats.late_batches}) {
+    wire::put_varint(payload, v);
+  }
+  wire::append_frame(out, wire::OpCode::kCheckpointHeader, payload);
+  for (const ForgedShard& shard : shards) {
+    payload.clear();
+    for (const std::uint64_t v :
+         {shard.index, shard.counters.sightings, shard.counters.duplicates,
+          shard.counters.repairs, shard.counters.version,
+          static_cast<std::uint64_t>(shard.timelines.size())}) {
+      wire::put_varint(payload, v);
+    }
+    std::uint64_t prev_epc = 0;
+    for (const auto& [epc, tl] : shard.timelines) {
+      wire::put_varint(payload, epc - prev_epc);
+      prev_epc = epc;
+      wire::put_varint(payload, tl.size());
+      std::uint64_t prev_bits = 0;
+      for (const ForgedSighting& x : tl) {
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(x.time_s);
+        wire::put_varint_signed(payload, static_cast<std::int64_t>(bits - prev_bits));
+        prev_bits = bits;
+        wire::put_varint(payload, x.facility);
+        wire::put_varint(payload, x.reader);
+        wire::put_varint(payload, x.antenna);
+      }
+    }
+    wire::append_frame(out, wire::OpCode::kCheckpointShard, payload);
+  }
+  payload.clear();
+  wire::put_varint(payload, shards.size());
+  wire::put_u64le(payload, digest);
+  wire::append_frame(out, wire::OpCode::kCheckpointEnd, payload);
+  return out;
+}
+
+/// `store`'s shards, filed and counted as the writer files and counts them.
+std::vector<ForgedShard> honest_shards(const TrackingStore& store) {
+  std::vector<ForgedShard> shards(store.config().shard_count);
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    shards[s].index = s;
+    shards[s].counters = store.shard_counters(s);
+    store.visit_shard(s, [&](std::uint64_t epc, const std::vector<Sighting>& tl) {
+      std::vector<ForgedSighting> out;
+      for (const Sighting& x : tl) out.push_back({x.time_s, x.facility, x.reader, x.antenna});
+      shards[s].timelines.emplace_back(epc, std::move(out));
+    });
+  }
+  return shards;
+}
+
+/// Eight tags, one sighting each, over two shards.
+TrackingStore eight_tag_store() {
+  TrackingStore store{StoreConfig{2, 1}};
+  FacilityBatch batch;
+  batch.facility = 1;
+  for (std::uint64_t tag = 1; tag <= 8; ++tag) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{tag};
+    ev.time_s = static_cast<double>(tag);
+    ev.reader_index = tag % 3;
+    batch.events.push_back(ev);
+  }
+  batch.sent_time_s = batch.arrival_time_s = 9.0;
+  store.ingest(batch);
+  return store;
+}
+
+void expect_restore_error(const std::vector<std::uint8_t>& bytes, CheckpointErrorKind kind) {
+  try {
+    (void)restore_checkpoint(bytes);
+    ADD_FAILURE() << "expected " << checkpoint_error_name(kind);
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), kind) << e.what();
+  }
+}
+
+TEST(CheckpointErrorTest, ForgerMatchesTheWriter) {
+  // The forged tests below mean something only if an unforged stream is
+  // byte for byte what the writer emits.
+  const TrackingStore store = eight_tag_store();
+  Checkpointer cp;
+  const std::vector<std::uint8_t> honest =
+      forge_snapshot(2, store.stats(), honest_shards(store), store.digest());
+  EXPECT_EQ(honest, cp.full(store));
+  EXPECT_EQ(restore_checkpoint(honest).digest(), store.digest());
+}
+
+TEST(CheckpointErrorTest, MisfiledTimelinesAreShardMismatch) {
+  // Every timeline filed under shard 0, whose sightings counter claims
+  // 999. The end digest walks EPCs regardless of shard, so it matches; a
+  // restore that accepted this would report 999 sightings for 8, lose the
+  // misfiled tags to timeline(), and give each of them a second timeline
+  // on the next ingest of a batch the store already holds.
+  const TrackingStore store = eight_tag_store();
+  std::vector<ForgedShard> shards = honest_shards(store);
+  ASSERT_FALSE(shards[0].timelines.empty());
+  ASSERT_FALSE(shards[1].timelines.empty());
+  for (auto& timeline : shards[1].timelines) shards[0].timelines.push_back(timeline);
+  shards[1].timelines.clear();
+  std::sort(shards[0].timelines.begin(), shards[0].timelines.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  shards[0].counters.sightings = 999;
+  shards[1].counters.sightings = 0;
+  expect_restore_error(forge_snapshot(2, store.stats(), shards, store.digest()),
+                       CheckpointErrorKind::kShardMismatch);
+}
+
+TEST(CheckpointErrorTest, ShardSightingCounterMismatchIsBadPayload) {
+  const TrackingStore store = eight_tag_store();
+  std::vector<ForgedShard> shards = honest_shards(store);
+  shards[1].counters.sightings += 1;
+  expect_restore_error(forge_snapshot(2, store.stats(), shards, store.digest()),
+                       CheckpointErrorKind::kBadPayload);
+}
+
+TEST(CheckpointErrorTest, HeaderTalliesNotSummingShardCountersAreBadPayload) {
+  const TrackingStore store = eight_tag_store();
+  for (std::uint64_t StoreStats::*field :
+       {&StoreStats::accepted, &StoreStats::duplicates, &StoreStats::repairs}) {
+    StoreStats stats = store.stats();
+    stats.*field += 1;
+    expect_restore_error(forge_snapshot(2, stats, honest_shards(store), store.digest()),
+                         CheckpointErrorKind::kBadPayload);
+  }
+}
+
+TEST(CheckpointErrorTest, OutOfRangeSightingIndexIsBadPayload) {
+  const TrackingStore store = eight_tag_store();
+  for (std::uint64_t ForgedSighting::*field :
+       {&ForgedSighting::reader, &ForgedSighting::antenna}) {
+    std::vector<ForgedShard> shards = honest_shards(store);
+    shards[0].timelines.front().second.front().*field = kMaxSightingIndex + 1;
+    expect_restore_error(forge_snapshot(2, store.stats(), shards, store.digest()),
+                         CheckpointErrorKind::kBadPayload);
   }
 }
 

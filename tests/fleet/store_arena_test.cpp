@@ -74,8 +74,8 @@ struct ReferenceStore {
 
   void ingest(const FacilityBatch& b) {
     for (const sys::ReadEvent& ev : b.events) {
-      const Sighting s{ev.time_s, b.facility, static_cast<std::uint32_t>(ev.reader_index),
-                       static_cast<std::uint32_t>(ev.antenna_index)};
+      const Sighting s{ev.time_s, b.facility, static_cast<std::uint16_t>(ev.reader_index),
+                       static_cast<std::uint16_t>(ev.antenna_index)};
       std::vector<Sighting>& tl = timelines[ev.tag.value];
       const auto pos = std::lower_bound(tl.begin(), tl.end(), s, sighting_less);
       if (pos != tl.end() && *pos == s) {

@@ -147,6 +147,39 @@ TEST(TrackingStoreTest, TagsAscendAndShardDepthsSumToSightings) {
   }
 }
 
+TEST(TrackingStoreTest, OutOfRangeIndexThrowsAndLeavesStoreUntouched) {
+  // digest() folds reader << 16 | antenna, so index 65536 would alias
+  // another sighting: ingest refuses it before any shard changes.
+  TrackingStore store{StoreConfig{8, 2}};
+  const std::vector<FacilityBatch> batches = workload(5);
+  store.ingest(batches);
+  const std::uint64_t digest = store.digest();
+  const StoreStats stats = store.stats();
+  const std::size_t sightings = store.sighting_count();
+
+  const std::vector<sys::ReadEvent> ok = {event(300.0, 1, 2, 3), event(301.0, 9999)};
+  for (const sys::ReadEvent& bad :
+       {event(302.0, 7, kMaxSightingIndex + 1, 0), event(302.0, 7, 0, kMaxSightingIndex + 1)}) {
+    std::vector<sys::ReadEvent> events = ok;
+    events.push_back(bad);
+    EXPECT_THROW(store.ingest(std::vector<FacilityBatch>{batches[0], batch(1, 303.0, events)}),
+                 ConfigError);
+    EXPECT_EQ(store.digest(), digest);
+    EXPECT_EQ(store.sighting_count(), sightings);
+    EXPECT_EQ(store.stats().batches, stats.batches);
+    EXPECT_EQ(store.stats().events, stats.events);
+    EXPECT_EQ(store.stats().accepted, stats.accepted);
+    EXPECT_EQ(store.stats().duplicates, stats.duplicates);
+    EXPECT_EQ(store.timeline(scene::TagId{9999}), nullptr);
+  }
+  // The top of the range is accepted and stored as given.
+  store.ingest(batch(2, 304.0, {event(304.0, 11, kMaxSightingIndex, kMaxSightingIndex)}));
+  const std::vector<Sighting>* tl = store.timeline(scene::TagId{11});
+  ASSERT_NE(tl, nullptr);
+  EXPECT_EQ(tl->back().reader, kMaxSightingIndex);
+  EXPECT_EQ(tl->back().antenna, kMaxSightingIndex);
+}
+
 TEST(TrackingStoreTest, RejectsZeroShards) {
   StoreConfig config;
   config.shard_count = 0;
