@@ -21,6 +21,7 @@
 #include "fault/schedule.hpp"
 #include "fleet/feed.hpp"
 #include "fleet/store.hpp"
+#include "obs/provenance.hpp"
 #include "reliability/analytical.hpp"
 #include "system/event_io.hpp"
 #include "system/portal.hpp"
@@ -399,7 +400,11 @@ int main(int argc, char** argv) {
       ucfg.max_retries = 2;
       sys::EventUploader uploader(ucfg);
       Rng up_rng = rng.fork(label++);
-      const sys::EventLog got = uploader.upload(clean, up_rng);
+      sys::EventLog got;
+      for (const sys::DeliveredBatch& batch :
+           uploader.upload_wire(clean, obs::kNoFacility, up_rng, nullptr)) {
+        got.insert(got.end(), batch.events.begin(), batch.events.end());
+      }
       t.add_row({percent(loss),
                  std::to_string(got.size()) + "/" + std::to_string(clean.size()),
                  std::to_string(uploader.stats().retries),

@@ -13,10 +13,12 @@ namespace {
 /// Geometric gap to the next flipped bit for independent per-bit error
 /// probability `p`: floor(log(1-u) / log(1-p)). One draw per *flip*
 /// instead of one per bit, which is what makes BER sweeps over megabytes
-/// affordable.
-std::uint64_t next_gap(double p, Rng& rng) {
+/// affordable. Returned unfloored as a double: below a BER of about 1e-18
+/// the quotient can pass 2^64, where converting it to an integer is
+/// undefined, so the caller compares it with the bits left first.
+double next_gap(double p, Rng& rng) {
   const double u = rng.uniform();
-  return static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
+  return std::log1p(-u) / std::log1p(-p);
 }
 
 }  // namespace
@@ -49,13 +51,18 @@ bool WireCorruptor::corrupt_frame(std::vector<std::uint8_t>& frame, Rng& rng) {
   // Independent bit flips via geometric gap skipping.
   if (config_.bit_error_rate > 0.0) {
     const std::uint64_t total_bits = static_cast<std::uint64_t>(frame.size()) * 8;
-    std::uint64_t bit = next_gap(config_.bit_error_rate, rng);
-    while (bit < total_bits) {
+    // `bit` is the first bit whose fate is undecided; a gap that reaches
+    // the end of the frame ends the flips and is never converted.
+    std::uint64_t bit = 0;
+    for (double gap = next_gap(config_.bit_error_rate, rng);
+         gap < static_cast<double>(total_bits - bit);
+         gap = next_gap(config_.bit_error_rate, rng)) {
+      bit += static_cast<std::uint64_t>(gap);
       frame[static_cast<std::size_t>(bit / 8)] ^=
           static_cast<std::uint8_t>(1u << (bit % 8));
       ++stats_.bits_flipped;
       damaged = true;
-      bit += 1 + next_gap(config_.bit_error_rate, rng);
+      ++bit;
     }
   }
 

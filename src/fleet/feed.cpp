@@ -24,13 +24,11 @@ void record_feed_metrics(const FeedPassResult& result, FacilityId facility) {
     obs::Counter& batches = obs::counter("fleet.feed.batches");
     obs::Counter& quarantined = obs::counter("fleet.feed.quarantined");
     obs::Counter& late = obs::counter("fleet.feed.late_batches");
-    obs::Counter& lost = obs::counter("fleet.feed.lost_batches");
   } m;
   m.passes.add(1);
   m.batches.add(result.batches.size());
   m.quarantined.add(result.quarantined);
   m.late.add(result.late_batches);
-  m.lost.add(result.lost_batches);
 
   const std::string label = std::to_string(facility);
   obs::counter("fleet.feed.wire_frames", {{"facility", label}})
@@ -191,8 +189,8 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
         result.report, config_.ingest.reader_count, config_.objects_total,
         window_begin_s, window_end_s));
     monitor_.observe_transport(obs::TransportObservation{
-        result.frames_sent, result.corrupt_frames, result.recovered_batches,
-        result.quarantined_batches, result.stale_batches, window_end_s});
+        result.frames_sent, result.corrupt_frames, result.quarantined_batches,
+        result.stale_batches, window_end_s});
   }
 
   // Cumulative tallies for the health surface — always on (pure counting).

@@ -57,16 +57,4 @@ int optimal_q(std::size_t population, int m, int min_q, int max_q) {
   return std::clamp(q, min_q, max_q);
 }
 
-MprInventoryEngine::MprInventoryEngine(InventoryConfig base, int m,
-                                       std::size_t population_estimate)
-    : engine_([&] {
-        require(m >= 1, "MprInventoryEngine: capability must be >= 1");
-        base.mpr_capacity = m;
-        if (population_estimate > 0) {
-          base.q.initial_q = static_cast<double>(
-              optimal_q(population_estimate, m, base.q.min_q, base.q.max_q));
-        }
-        return InventoryEngine(base);
-      }()) {}
-
 }  // namespace rfidsim::gen2::reliable

@@ -16,13 +16,11 @@
 // in M, so an MPR reader should start its inventory with a SMALLER Q than
 // a conventional one for the same population. The engine side of MPR (the
 // per-slot multi-decode) lives in gen2::InventoryEngine behind
-// InventoryConfig::mpr_capacity; this module adds the planning math and a
-// convenience wrapper that applies it.
+// InventoryConfig::mpr_capacity; this module adds the planning math (set
+// InventoryConfig::q.initial_q from optimal_q to apply it).
 #pragma once
 
 #include <cstddef>
-
-#include "gen2/inventory.hpp"
 
 namespace rfidsim::gen2::reliable {
 
@@ -49,33 +47,5 @@ int optimal_q(std::size_t population, int m, int min_q = 0, int max_q = 15);
 /// log2(lambda*(m)) = -log2(lambda*(m)). Exposed separately because the
 /// ablation reports it against the simulated optimum.
 double optimal_q_offset(int m);
-
-/// Convenience wrapper: an InventoryEngine configured for MPR capability
-/// `m` with its initial Q planted at the Pudasaini optimum for the
-/// expected population. Behaviour with m == 1 and the population-derived
-/// Q is exactly the conventional engine's (the underlying round code path
-/// is shared and bit-identical; see MprBitIdentity in the tests).
-class MprInventoryEngine {
- public:
-  /// `base` supplies timing/session/target/Q-adaptation parameters; the
-  /// constructor overrides mpr_capacity and, when `population_estimate`
-  /// is nonzero, initial_q.
-  MprInventoryEngine(InventoryConfig base, int m, std::size_t population_estimate = 0);
-
-  /// Runs one round; see InventoryEngine::run_round.
-  InventoryRoundResult run_round(std::vector<TagState>& states,
-                                 const std::vector<TagLink>& links, double t_s,
-                                 Rng& rng) {
-    return engine_.run_round(states, links, t_s, rng);
-  }
-
-  const InventoryConfig& config() const { return engine_.config(); }
-  double qfp() const { return engine_.qfp(); }
-  void reset_q() { engine_.reset_q(); }
-  int capability() const { return config().mpr_capacity; }
-
- private:
-  InventoryEngine engine_;
-};
 
 }  // namespace rfidsim::gen2::reliable

@@ -72,7 +72,6 @@ const char* phase_name(Phase phase) {
     case Phase::kCheckpointWrite: return "checkpoint_write";
     case Phase::kCheckpointRestore: return "checkpoint_restore";
     case Phase::kQueryMissing: return "query_missing";
-    case Phase::kUpload: return "upload";
     case Phase::kUploadWire: return "upload_wire";
     case Phase::kTrackIngest: return "track_ingest";
     case Phase::kStoreDigest: return "store_digest";

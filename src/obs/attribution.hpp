@@ -55,17 +55,16 @@ enum class Phase : std::uint8_t {
   kCheckpointWrite = 9,    ///< Checkpointer::write.
   kCheckpointRestore = 10, ///< restore_checkpoint.
   kQueryMissing = 11,  ///< QueryService::missing.
-  kUpload = 12,        ///< EventUploader::upload_batches.
-  kUploadWire = 13,    ///< EventUploader::upload_wire.
-  kTrackIngest = 14,   ///< ResilientIngest::ingest / ingest_validated.
-  kStoreDigest = 15,   ///< TrackingStore::digest.
-  kWireCodec = 16,     ///< upload_wire's frame encode and each strict decode.
-  kQueryLocate = 17,   ///< QueryService::locate (tag and object).
-  kQueryInventory = 18, ///< QueryService::inventory.
-  kQueryModel = 19,    ///< QueryService::set_facility_model.
-  kFeedMonitor = 20,   ///< FacilityFeed::process_pass's monitor observations.
+  kUploadWire = 12,    ///< EventUploader::upload_wire.
+  kTrackIngest = 13,   ///< ResilientIngest::ingest / ingest_validated.
+  kStoreDigest = 14,   ///< TrackingStore::digest.
+  kWireCodec = 15,     ///< upload_wire's frame encode and each strict decode.
+  kQueryLocate = 16,   ///< QueryService::locate (tag and object).
+  kQueryInventory = 17, ///< QueryService::inventory.
+  kQueryModel = 18,    ///< QueryService::set_facility_model.
+  kFeedMonitor = 19,   ///< FacilityFeed::process_pass's monitor observations.
 };
-inline constexpr std::size_t kPhaseCount = 21;
+inline constexpr std::size_t kPhaseCount = 20;
 
 /// Stable lower-snake name ("path_eval", "portal_sim", ...).
 const char* phase_name(Phase phase);

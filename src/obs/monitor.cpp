@@ -303,15 +303,6 @@ void ReliabilityMonitor::observe_transport(const TransportObservation& obs) {
   } else {
     stale_latched_ = false;
   }
-
-  if (hooks_enabled()) {
-    obs::counter("obs.monitor.wire_frames").add(obs.frames);
-    obs::counter("obs.monitor.wire_corrupt_frames").add(obs.corrupt_frames);
-    obs::counter("obs.monitor.wire_recovered_batches").add(obs.recovered_batches);
-    obs::counter("obs.monitor.wire_quarantined_batches")
-        .add(obs.quarantined_batches);
-    obs::counter("obs.monitor.stale_batches").add(obs.stale_batches);
-  }
 }
 
 void ReliabilityMonitor::observe_watermark(const WatermarkObservation& obs) {
@@ -340,7 +331,6 @@ void ReliabilityMonitor::observe_watermark(const WatermarkObservation& obs) {
   }
 
   if (hooks_enabled()) {
-    obs::gauge("obs.monitor.watermark_seconds").set(watermark_s_);
     obs::gauge("obs.monitor.watermark_stall_streak")
         .set(static_cast<double>(watermark_streak_));
   }

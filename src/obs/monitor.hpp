@@ -192,7 +192,6 @@ struct PassObservation {
 struct TransportObservation {
   std::uint64_t frames = 0;              ///< Frame transmissions attempted.
   std::uint64_t corrupt_frames = 0;      ///< Receiver-detected bad frames.
-  std::uint64_t recovered_batches = 0;   ///< Delivered after >= 1 NAK.
   std::uint64_t quarantined_batches = 0; ///< Dropped: NAK budget exhausted.
   std::uint64_t stale_batches = 0;       ///< Arrived past the staleness horizon.
   double window_end_s = 0.0;

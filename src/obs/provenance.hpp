@@ -60,8 +60,8 @@ const char* batch_hop_name(BatchHop hop);
 /// "no id" (batches that predate the uploader, hand-built test batches).
 std::uint64_t provenance_batch_id(std::uint32_t facility, std::uint64_t sequence);
 
-/// The facility value hops use when no facility applies (link-only
-/// uploads, store-level checkpoint records).
+/// The facility value hops use when no facility applies (uploads outside
+/// a facility feed, store-level checkpoint records).
 inline constexpr std::uint32_t kNoFacility = 0xffffffffu;
 
 /// One hop of one batch.

@@ -95,26 +95,27 @@ PortalSimulator::PortalSimulator(const scene::Scene& scene, PortalConfig config)
                        interference.command_jam_probability(rf_states[r], others),
                    0.0, 1.0);
 
-    // Per-session engines for the multi-session strategy, built from the
-    // same interference-adjusted config so each session pass sees the same
-    // RF environment as the single-session baseline.
-    std::vector<gen2::InventoryEngine> session_engines;
+    // One engine per session, each built from the same interference-
+    // adjusted config so every session pass sees the same RF environment
+    // as the single-session baseline.
+    std::vector<gen2::InventoryEngine> engines;
     if (rc.strategy.mode == InventoryMode::kMultiSession) {
       require(!rc.strategy.sessions.empty(),
               "PortalSimulator: multi-session strategy needs at least one session");
-      session_engines.reserve(rc.strategy.sessions.size());
+      engines.reserve(rc.strategy.sessions.size());
       for (gen2::Session s : rc.strategy.sessions) {
         gen2::InventoryConfig per_session = inv;
         per_session.session = s;
-        session_engines.emplace_back(per_session);
+        engines.emplace_back(per_session);
       }
+    } else {
+      engines.emplace_back(inv);
     }
 
     readers_.push_back(ReaderRuntime{
         .config = rc,
         .mux = AntennaMux(rc.antenna_indices, rc.antenna_dwell_s),
-        .engine = gen2::InventoryEngine(inv),
-        .session_engines = std::move(session_engines),
+        .engines = std::move(engines),
         .tag_states = std::vector<gen2::TagState>(tags_.size()),
         .clock_s = config_.start_time_s,
         .jam_probability = inv.command_jam_probability,
@@ -123,17 +124,14 @@ PortalSimulator::PortalSimulator(const scene::Scene& scene, PortalConfig config)
 }
 
 gen2::InventoryEngine& PortalSimulator::select_engine(ReaderRuntime& rt, double t_s) {
-  if (rt.session_engines.empty()) return rt.engine;
-  const std::size_t k = rt.session_engines.size();
-  if (rt.config.strategy.interleaved) {
-    return rt.session_engines[rt.round_index % k];
-  }
+  const std::size_t k = rt.engines.size();
+  if (rt.config.strategy.interleaved) return rt.engines[rt.round_index % k];
   // Sequential: the pass is partitioned into K equal time segments, one
   // session each — session k's flags age (S1 decays) while k+1 runs.
   const double span = config_.end_time_s - config_.start_time_s;
   const double frac = span > 0.0 ? (t_s - config_.start_time_s) / span : 0.0;
   auto idx = static_cast<std::size_t>(std::max(frac, 0.0) * static_cast<double>(k));
-  return rt.session_engines[std::min(idx, k - 1)];
+  return rt.engines[std::min(idx, k - 1)];
 }
 
 double PortalSimulator::sample_shadow(std::size_t antenna, std::size_t tag_index,
@@ -231,8 +229,7 @@ void PortalSimulator::run_reader_round(std::size_t r, EventLog& log, Rng& rng) {
       reader_hooks(r).crashes->add(1);
     }
     rt.clock_s = up;
-    rt.engine.reset_q();
-    for (auto& e : rt.session_engines) e.reset_q();
+    for (auto& e : rt.engines) e.reset_q();
     return;
   }
 
@@ -324,8 +321,7 @@ EventLog PortalSimulator::run(Rng& rng) {
   reset_pass_state(rng);
   for (auto& rt : readers_) {
     rt.clock_s = config_.start_time_s;
-    rt.engine.reset_q();
-    for (auto& e : rt.session_engines) e.reset_q();
+    for (auto& e : rt.engines) e.reset_q();
     rt.round_index = 0;
     std::fill(rt.tag_states.begin(), rt.tag_states.end(), gen2::TagState{});
   }
@@ -380,8 +376,7 @@ EventLog PortalSimulator::run_single_round(double t_s, Rng& rng) {
   EventLog log;
   for (std::size_t r = 0; r < readers_.size(); ++r) {
     readers_[r].clock_s = t_s;
-    readers_[r].engine.reset_q();
-    for (auto& e : readers_[r].session_engines) e.reset_q();
+    for (auto& e : readers_[r].engines) e.reset_q();
     readers_[r].round_index = 0;
     std::fill(readers_[r].tag_states.begin(), readers_[r].tag_states.end(),
               gen2::TagState{});

@@ -128,21 +128,20 @@ class PortalSimulator {
   struct ReaderRuntime {
     ReaderConfig config;
     AntennaMux mux;
-    gen2::InventoryEngine engine;
-    /// Under InventoryMode::kMultiSession: one engine per configured
-    /// session (each keeps its own Qfp, like a real reader's per-session
-    /// inventory state). Empty under kSingleSession, where `engine` runs
-    /// every round on the exact pre-multi-session code path.
-    std::vector<gen2::InventoryEngine> session_engines;
+    /// One engine per session the reader inventories, each keeping its own
+    /// Qfp like a real reader's per-session inventory state: one on
+    /// `config.inventory`'s session under InventoryMode::kSingleSession,
+    /// one per strategy session under kMultiSession.
+    std::vector<gen2::InventoryEngine> engines;
     std::size_t round_index = 0;  ///< Rounds run this pass (session rotation).
     std::vector<gen2::TagState> tag_states;
     double clock_s = 0.0;
     double jam_probability = 0.0;
   };
 
-  /// The engine for reader `rt`'s next round: `engine` in single-session
-  /// mode; the interleaved rotation or the sequential time-segment pick
-  /// from `session_engines` in multi-session mode.
+  /// The engine for reader `rt`'s next round: the interleaved rotation or
+  /// the sequential time-segment pick from `engines` (a lone engine is
+  /// picked either way).
   gen2::InventoryEngine& select_engine(ReaderRuntime& rt, double t_s);
 
   /// Builds per-tag link state for one reader's round at time t.

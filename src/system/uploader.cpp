@@ -35,6 +35,10 @@ struct UploaderMetrics {
   obs::Counter& events_delivered = obs::counter("sys.uploader.events_delivered");
   obs::Counter& events_lost = obs::counter("sys.uploader.events_lost");
   obs::Gauge& backoff_s = obs::gauge("sys.uploader.backoff_seconds");
+  obs::Counter& wire_frames = obs::counter("sys.uploader.wire_frames");
+  obs::Counter& wire_corrupt_frames =
+      obs::counter("sys.uploader.wire_corrupt_frames");
+  obs::Counter& wire_retransmits = obs::counter("sys.uploader.wire_retransmits");
 };
 
 UploaderMetrics& uploader_metrics() {
@@ -76,100 +80,6 @@ EventUploader::EventUploader(UploaderConfig config) : config_(config) {
           "EventUploader: jitter fraction must be in [0, 1]");
 }
 
-EventLog EventUploader::upload(const EventLog& log, Rng& rng) {
-  EventLog delivered;
-  delivered.reserve(log.size());
-  for (const DeliveredBatch& batch : upload_batches(log, rng)) {
-    delivered.insert(delivered.end(), batch.events.begin(), batch.events.end());
-  }
-  return delivered;
-}
-
-std::vector<DeliveredBatch> EventUploader::upload_batches(const EventLog& log,
-                                                          Rng& rng) {
-  const obs::prof::ScopedPhase phase(obs::prof::Phase::kUpload);
-  const UploadStats before = stats_;
-  std::size_t attempts_ok = 0, attempts_lost = 0, giveups = 0;
-  std::vector<DeliveredBatch> delivered;
-  // The channel is serial: a batch cannot depart while the previous one is
-  // still retrying, so backoff pushes every later batch's arrival back too.
-  double channel_free_s = -std::numeric_limits<double>::infinity();
-
-  for (std::size_t begin = 0; begin < log.size(); begin += config_.batch_size) {
-    const std::size_t end = std::min(begin + config_.batch_size, log.size());
-    ++stats_.batches;
-    const double sent_s = log[end - 1].time_s;  // Flush at the last read.
-    // Ids are minted unconditionally (they are plumbing, not telemetry);
-    // only the hop records below gate on obs.
-    const std::uint64_t batch_id =
-        obs::provenance_batch_id(obs::kNoFacility, batch_sequence_++);
-    if (obs::hooks_enabled()) {
-      obs::provenance_log().record({batch_id, obs::BatchHop::kEnqueued,
-                                    obs::kNoFacility, end - begin, sent_s});
-    }
-
-    bool ok = false;
-    double waited_s = 0.0;
-    Backoff backoff(config_);
-    for (std::size_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
-      ++stats_.attempts;
-      if (attempt > 0) {
-        ++stats_.retries;
-        const double wait = backoff.take(rng);
-        stats_.backoff_delay_s += wait;
-        waited_s += wait;
-      }
-      if (!rng.bernoulli(config_.loss_probability)) {
-        ok = true;
-        ++attempts_ok;
-        break;
-      }
-      ++attempts_lost;
-    }
-
-    const double departure_s = std::max(channel_free_s, sent_s);
-    channel_free_s = departure_s + waited_s;  // Lost batches also hold the line.
-    if (ok) {
-      DeliveredBatch batch;
-      batch.sent_time_s = sent_s;
-      batch.arrival_time_s = channel_free_s;
-      batch.batch_id = batch_id;
-      batch.events.assign(log.begin() + static_cast<std::ptrdiff_t>(begin),
-                          log.begin() + static_cast<std::ptrdiff_t>(end));
-      delivered.push_back(std::move(batch));
-      stats_.events_delivered += end - begin;
-      if (obs::hooks_enabled()) {
-        obs::provenance_log().record({batch_id, obs::BatchHop::kDelivered,
-                                      obs::kNoFacility, end - begin,
-                                      channel_free_s});
-      }
-    } else {
-      ++stats_.batches_lost;
-      ++giveups;
-      stats_.events_lost += end - begin;
-      if (obs::hooks_enabled()) {
-        obs::provenance_log().record({batch_id, obs::BatchHop::kLost,
-                                      obs::kNoFacility, end - begin, sent_s});
-      }
-    }
-  }
-
-  if (obs::hooks_enabled()) {
-    UploaderMetrics& m = uploader_metrics();
-    m.batches.add(stats_.batches - before.batches);
-    m.attempts.add(stats_.attempts - before.attempts);
-    m.attempts_ok.add(attempts_ok);
-    m.attempts_lost.add(attempts_lost);
-    m.retries.add(stats_.retries - before.retries);
-    m.batches_lost.add(stats_.batches_lost - before.batches_lost);
-    m.giveups_retry.add(giveups);
-    m.events_delivered.add(stats_.events_delivered - before.events_delivered);
-    m.events_lost.add(stats_.events_lost - before.events_lost);
-    m.backoff_s.add(stats_.backoff_delay_s - before.backoff_delay_s);
-  }
-  return delivered;
-}
-
 std::vector<DeliveredBatch> EventUploader::upload_wire(
     const EventLog& log, std::uint32_t facility, Rng& rng,
     fault::WireCorruptor* corruptor) {
@@ -180,12 +90,16 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
   std::size_t giveups_retry = 0, giveups_nak = 0;
   const bool channel_dirty = corruptor != nullptr && !corruptor->identity();
   std::vector<DeliveredBatch> delivered;
+  // The channel is serial: a batch cannot depart while the previous one is
+  // still retrying, so backoff pushes every later batch's arrival back too.
   double channel_free_s = -std::numeric_limits<double>::infinity();
 
   for (std::size_t begin = 0; begin < log.size(); begin += config_.batch_size) {
     const std::size_t end = std::min(begin + config_.batch_size, log.size());
     ++stats_.batches;
-    const double sent_s = log[end - 1].time_s;
+    const double sent_s = log[end - 1].time_s;  // Flush at the last read.
+    // Ids are minted unconditionally (they are plumbing, not telemetry);
+    // only the hop records gate on obs.
     const std::uint64_t batch_id =
         obs::provenance_batch_id(facility, batch_sequence_++);
     if (obs::hooks_enabled()) {
@@ -193,8 +107,8 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
                                     end - begin, sent_s});
     }
 
-    // Stage 1 — link: same loss/backoff model as upload_batches, same
-    // draw sequence (the wire hop below must not perturb clean-channel
+    // Stage 1 — link: loss, retry and backoff. On a clean channel these
+    // are the only draws (the wire hop below must not perturb clean-channel
     // determinism).
     bool link_ok = false;
     double waited_s = 0.0;
@@ -350,14 +264,11 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
     m.events_delivered.add(stats_.events_delivered - before.events_delivered);
     m.events_lost.add(stats_.events_lost - before.events_lost);
     m.backoff_s.add(stats_.backoff_delay_s - before.backoff_delay_s);
-    obs::counter("sys.uploader.wire_frames").add(wire_stats_.frames_sent -
-                                                 wire_before.frames_sent);
-    obs::counter("sys.uploader.wire_corrupt_frames")
-        .add(wire_stats_.corrupt_frames - wire_before.corrupt_frames);
-    obs::counter("sys.uploader.wire_retransmits")
-        .add(wire_stats_.nak_retransmits - wire_before.nak_retransmits);
-    obs::counter("sys.uploader.wire_quarantined")
-        .add(wire_stats_.batches_quarantined - wire_before.batches_quarantined);
+    m.wire_frames.add(wire_stats_.frames_sent - wire_before.frames_sent);
+    m.wire_corrupt_frames.add(wire_stats_.corrupt_frames -
+                              wire_before.corrupt_frames);
+    m.wire_retransmits.add(wire_stats_.nak_retransmits -
+                           wire_before.nak_retransmits);
   }
   return delivered;
 }

@@ -2,23 +2,21 @@
 //
 // Readers in buffered continuous mode batch their reads and push them
 // upstream over whatever the site wired in — serial, flaky WiFi, a cell
-// modem on a dock door. This models that hop at two fidelities:
+// modem on a dock door. upload_wire() models that hop in two stages:
 //
-//   upload_batches()  link-level loss only: batches are lost with a
-//                     configurable probability, retried with *bounded*
-//                     exponential backoff (cap + deterministic seeded
-//                     jitter), and dropped for good once the retry budget
-//                     is exhausted (the reader's ring buffer has wrapped
-//                     by then).
-//   upload_wire()     the same link, but batches travel as checksummed
-//                     binary frames (wire::encode_event_batch_frame) and
-//                     the channel damages *bits*, not rows. The receiver
-//                     decodes strictly; any classified failure (bad CRC,
-//                     truncation, bad magic, unknown version...) is a NAK
-//                     and the uploader retransmits under its own budget.
-//                     Corruption is therefore detected and quarantined,
-//                     never silently parsed — the end-to-end integrity
-//                     half of the fleet durability contract.
+//   link  batches are lost with a configurable probability, retried with
+//         *bounded* exponential backoff (cap + deterministic seeded
+//         jitter), and dropped for good once the retry budget is
+//         exhausted (the reader's ring buffer has wrapped by then).
+//   wire  each batch that crosses the link travels as a checksummed
+//         binary frame (wire::encode_event_batch_frame) and the channel
+//         damages *bits*, not rows. The receiver decodes strictly; any
+//         classified failure (bad CRC, truncation, bad magic, unknown
+//         version...) is a NAK and the uploader retransmits under its own
+//         budget. Corruption is therefore detected and quarantined, never
+//         silently parsed — the end-to-end integrity half of the fleet
+//         durability contract. A clean channel (no corruptor, or an
+//         identity one) draws nothing from the Rng in this stage.
 //
 // Downstream, track::ResilientIngest treats the result as just another
 // degraded feed.
@@ -54,8 +52,8 @@ struct UploaderConfig {
   /// seeded and deterministic; 0 draws nothing (decorrelating retries
   /// across readers costs determinism nothing here).
   double jitter_fraction = 0.0;
-  /// Wire path only: retransmissions after a NAK (corrupt frame detected
-  /// by the receiver) before the batch is quarantined.
+  /// Retransmissions after a NAK (corrupt frame detected by the
+  /// receiver) before the batch is quarantined.
   std::size_t max_nak_retransmits = 6;
 };
 
@@ -69,8 +67,8 @@ struct DeliveredBatch {
   EventLog events;
   double sent_time_s = 0.0;
   double arrival_time_s = 0.0;
-  /// Wire path: NAK retransmissions this batch needed (0 = clean first
-  /// try; > 0 = recovered from detected corruption).
+  /// NAK retransmissions this batch needed (0 = clean first try; > 0 =
+  /// recovered from detected corruption).
   std::size_t nak_retransmits = 0;
   /// Deterministic provenance id (obs::provenance_batch_id over the
   /// facility and this uploader's batch sequence), minted whether or not
@@ -91,7 +89,7 @@ struct UploadStats {
   double backoff_delay_s = 0.0;    ///< Total backoff the retries waited out.
 };
 
-/// What the wire added on top of link loss (upload_wire only).
+/// What the wire added on top of link loss.
 struct WireUploadStats {
   std::uint64_t frames_sent = 0;       ///< Frame transmissions incl. retransmits.
   std::uint64_t bytes_sent = 0;        ///< Framed bytes offered to the channel.
@@ -113,26 +111,19 @@ class EventUploader {
  public:
   explicit EventUploader(UploaderConfig config);
 
-  /// Uploads `log` batch by batch; returns what the backend received, in
-  /// delivery order (batch order is preserved — retries delay, they do
-  /// not overtake). Deterministic given `rng`'s state. Stats accumulate
-  /// across calls until reset().
-  EventLog upload(const EventLog& log, Rng& rng);
-
-  /// Like upload(), but keeps the batch structure and timing: each
-  /// delivered batch carries its flush time and its backend arrival time,
-  /// so downstream consumers see retry backoff as *latency*, not just a
-  /// stats() tally. Draws from `rng` and accumulates stats exactly as
-  /// upload() does (upload() is this call with the timing discarded).
-  std::vector<DeliveredBatch> upload_batches(const EventLog& log, Rng& rng);
-
-  /// The wire-framed hop: each link-delivered batch is encoded as a
-  /// checksummed binary frame, damaged by `corruptor` (nullptr = clean
-  /// channel), and strictly decoded; detected corruption NAKs and
-  /// retransmits under max_nak_retransmits. Returned events are the
-  /// *decoded* bytes — nothing the receiver could not have seen. With a
-  /// clean or identity channel this draws from `rng` exactly as
-  /// upload_batches does and returns bit-identical batches.
+  /// Uploads `log` batch by batch. Each batch that crosses the link is
+  /// encoded as a checksummed binary frame, damaged by `corruptor`
+  /// (nullptr = clean channel), and strictly decoded; detected corruption
+  /// NAKs and retransmits under max_nak_retransmits. Returns what the
+  /// backend received, in delivery order (batch order is preserved —
+  /// retries delay, they do not overtake), each batch with its flush time
+  /// and its backend arrival time, so downstream consumers see retry
+  /// backoff as *latency*, not just a stats() tally. Returned events are
+  /// the *decoded* bytes — nothing the receiver could not have seen.
+  /// `facility` keys the batches' provenance ids and hop records
+  /// (obs::kNoFacility when no facility applies). Deterministic given
+  /// `rng`'s state; a clean or identity channel draws from `rng` for the
+  /// link stage only. Stats accumulate across calls until reset().
   std::vector<DeliveredBatch> upload_wire(const EventLog& log,
                                           std::uint32_t facility, Rng& rng,
                                           fault::WireCorruptor* corruptor);

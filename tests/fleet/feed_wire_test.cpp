@@ -3,15 +3,27 @@
 // and a clean channel is bit-identical to the pre-wire path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fleet/feed.hpp"
 #include "fleet/store.hpp"
+#include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 
 namespace rfidsim::fleet {
 namespace {
+
+/// With -DRFIDSIM_OBS=OFF every hook compiles to a constant false; the
+/// counter-delta checks then assert that nothing moves.
+#ifdef RFIDSIM_OBS_DISABLED
+constexpr bool kHooksLive = false;
+#else
+constexpr bool kHooksLive = true;
+#endif
 
 sys::ReadEvent event(double t, std::uint64_t tag, std::size_t reader = 0,
                      std::size_t antenna = 0) {
@@ -119,6 +131,47 @@ TEST(FeedWireTest, ExhaustedNakBudgetQuarantinesWithTypedAlert) {
   EXPECT_EQ(store.stats().events,
             feed.upload_stats().events_delivered);
   ASSERT_NE(feed.monitor().first_alert(obs::AlertType::kWireCorruption), nullptr);
+}
+
+TEST(FeedWireTest, EachTransportOutcomeIsCountedOnce) {
+  FeedConfig config = feed_config(2, 8);
+  config.facility = 7;
+  config.uploader.batch_size = 4;
+  config.uploader.max_nak_retransmits = 1;
+  config.wire_corruption.bit_error_rate = 2e-3;  // Some recover, some don't.
+  FacilityFeed feed(config);
+  TrackingStore store;
+  const bool saved_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& frames = obs::counter("fleet.feed.wire_frames", {{"facility", "7"}});
+  obs::Counter& nak_giveups =
+      obs::counter("sys.uploader.giveups", {{"reason", "nak_budget"}});
+  const std::uint64_t frames_before = frames.value();
+  const std::uint64_t giveups_before = nak_giveups.value();
+  Rng rng(5);
+  const FeedPassResult result = feed.ingest_pass(
+      store, full_pass({1, 2, 3, 4, 5, 6, 7, 8}, 2, 0.0), 0.0, 10.0, rng);
+  std::ostringstream exposition;
+  obs::registry().write_exposition(exposition);
+  obs::set_enabled(saved_enabled);
+  ASSERT_GT(result.corrupt_frames, 0u);
+  ASSERT_GT(result.quarantined_batches, 0u);
+
+  // Families that only re-counted what the feed or the uploader already
+  // counts on the same call.
+  for (std::string family :
+       {"obs.monitor.wire_frames", "obs.monitor.wire_corrupt_frames",
+        "obs.monitor.wire_recovered_batches", "obs.monitor.wire_quarantined_batches",
+        "obs.monitor.stale_batches", "obs.monitor.watermark_seconds",
+        "fleet.feed.lost_batches", "sys.uploader.wire_quarantined"}) {
+    std::replace(family.begin(), family.end(), '.', '_');
+    EXPECT_EQ(exposition.str().find("# TYPE rfidsim_" + family + " "),
+              std::string::npos)
+        << family;
+  }
+  const std::uint64_t d = kHooksLive ? 1 : 0;
+  EXPECT_EQ(frames.value(), frames_before + d * result.frames_sent);
+  EXPECT_EQ(nak_giveups.value(), giveups_before + d * result.quarantined_batches);
 }
 
 TEST(FeedWireTest, StaleBatchesAreAlertedButStillStored) {

@@ -104,11 +104,11 @@ TEST(MprMathTest, ExpectedDecodesLimits) {
 // --------------------------------------------------------- M = 1 identity
 
 TEST(MprBitIdentityTest, MEqualsOneMatchesConventionalEngine) {
-  // The contract InventoryConfig::mpr_capacity documents: an MPR-1 engine
-  // (via the wrapper, no population-derived Q) runs the exact code path
-  // of the conventional engine — identical singulation order, slot
-  // accounting, durations, and RNG consumption, over randomized
-  // populations with lossy links and capture-prone power spreads.
+  // The contract InventoryConfig::mpr_capacity documents: an engine with
+  // mpr_capacity = 1 runs the exact code path of the conventional engine —
+  // identical singulation order, slot accounting, durations, and RNG
+  // consumption, over randomized populations with lossy links and
+  // capture-prone power spreads.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng setup(seed);
     const auto n = static_cast<std::size_t>(setup.uniform_int(1, 40));
@@ -126,7 +126,9 @@ TEST(MprBitIdentityTest, MEqualsOneMatchesConventionalEngine) {
     InventoryConfig cfg = base_config(setup.uniform(1.0, 4.0));
     cfg.command_jam_probability = setup.uniform(0.0, 0.1);
     InventoryEngine conventional(cfg);
-    MprInventoryEngine mpr(cfg, /*m=*/1);
+    InventoryConfig mpr_cfg = cfg;
+    mpr_cfg.mpr_capacity = 1;
+    InventoryEngine mpr(mpr_cfg);
 
     Rng rng_a(seed * 1000 + 1);
     Rng rng_b(seed * 1000 + 1);
@@ -162,7 +164,8 @@ TEST(MprEngineTest, MprTwoDecodesCollidedSlots) {
   EXPECT_GE(conv.collision_slots, 1u);
 
   Population mpr_pop(2);
-  MprInventoryEngine mpr(cfg, /*m=*/2);
+  cfg.mpr_capacity = 2;
+  InventoryEngine mpr(cfg);
   Rng rng_b(3);
   const auto both = mpr.run_round(mpr_pop.states, mpr_pop.links, 0.0, rng_b);
   EXPECT_EQ(both.singulated.size(), 2u);
@@ -174,7 +177,8 @@ TEST(MprEngineTest, RoundAccountingConsistent) {
   // Slot taxonomy partitions total_slots for any capability.
   for (int m = 1; m <= 3; ++m) {
     InventoryConfig cfg = base_config(2.0);
-    MprInventoryEngine engine(cfg, m);
+    cfg.mpr_capacity = m;
+    InventoryEngine engine(cfg);
     Population pop(15, 0.8);
     Rng rng(11);
     for (int round = 0; round < 5; ++round) {

@@ -164,7 +164,7 @@ TEST_F(InstrumentationTest, UploaderRetriesSurfaceInRegistry) {
   const std::uint64_t retries_before = obs::counter("sys.uploader.retries").value();
   const std::uint64_t batches_before = obs::counter("sys.uploader.batches").value();
   Rng rng(2);
-  (void)up.upload(log, rng);
+  (void)up.upload_wire(log, 0, rng, nullptr);
   EXPECT_GT(up.stats().retries, 0u);  // Old accessor still works...
   if (!kHooksLive) {
     EXPECT_EQ(obs::counter("sys.uploader.retries").value(), retries_before);

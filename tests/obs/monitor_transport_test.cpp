@@ -27,7 +27,6 @@ TEST(MonitorTransportTest, CorruptFramesRaiseOnceWhileLatched) {
   ReliabilityMonitor monitor;
   TransportObservation obs = clean_pass(10.0);
   obs.corrupt_frames = 4;
-  obs.recovered_batches = 2;
   // A five-pass corruption storm is ONE alert, not five.
   for (int i = 0; i < 5; ++i) {
     obs.window_end_s = 10.0 * (i + 1);

@@ -61,9 +61,9 @@ constexpr std::array<Phase, kPhaseCount> kAllPhases = {
     Phase::kEventLogAppend,  Phase::kStoreRoute,    Phase::kStoreMerge,
     Phase::kGen2Fusion,      Phase::kFeedPass,      Phase::kStoreIngest,
     Phase::kCheckpointWrite, Phase::kCheckpointRestore, Phase::kQueryMissing,
-    Phase::kUpload,          Phase::kUploadWire,    Phase::kTrackIngest,
-    Phase::kStoreDigest,     Phase::kWireCodec,     Phase::kQueryLocate,
-    Phase::kQueryInventory,  Phase::kQueryModel,    Phase::kFeedMonitor,
+    Phase::kUploadWire,      Phase::kTrackIngest,   Phase::kStoreDigest,
+    Phase::kWireCodec,       Phase::kQueryLocate,   Phase::kQueryInventory,
+    Phase::kQueryModel,      Phase::kFeedMonitor,
 };
 
 /// Saves and restores the global obs + attribution switches around a test.
@@ -103,7 +103,6 @@ TEST(ProfPhaseTest, PhaseNamesAreStable) {
   EXPECT_STREQ(phase_name(Phase::kCheckpointWrite), "checkpoint_write");
   EXPECT_STREQ(phase_name(Phase::kCheckpointRestore), "checkpoint_restore");
   EXPECT_STREQ(phase_name(Phase::kQueryMissing), "query_missing");
-  EXPECT_STREQ(phase_name(Phase::kUpload), "upload");
   EXPECT_STREQ(phase_name(Phase::kUploadWire), "upload_wire");
   EXPECT_STREQ(phase_name(Phase::kTrackIngest), "track_ingest");
   EXPECT_STREQ(phase_name(Phase::kStoreDigest), "store_digest");

@@ -93,13 +93,13 @@ TEST_F(TraceTest, RecordsNestedSpansWithDepths) {
 
 TEST_F(TraceTest, DisabledTracingRecordsNothing) {
   set_trace_enabled(false);
-  { const ScopedPhase phase(Phase::kUpload); }
+  { const ScopedPhase phase(Phase::kWireCodec); }
   EXPECT_TRUE(trace_snapshot().empty());
 }
 
 TEST_F(TraceTest, MetricsMasterSwitchAlsoGatesTracing) {
   set_enabled(false);  // Tracing requires the master switch too.
-  { const ScopedPhase phase(Phase::kUpload); }
+  { const ScopedPhase phase(Phase::kWireCodec); }
   EXPECT_TRUE(trace_snapshot().empty());
 }
 
@@ -108,7 +108,7 @@ TEST_F(TraceTest, SpanOpenAcrossDisableDoesNotRecord) {
   // tracing got switched on still completes without recording garbage.
   {
     set_trace_enabled(false);
-    const ScopedPhase phase(Phase::kUpload);
+    const ScopedPhase phase(Phase::kWireCodec);
     set_trace_enabled(true);
   }
   EXPECT_TRUE(trace_snapshot().empty());
@@ -116,7 +116,7 @@ TEST_F(TraceTest, SpanOpenAcrossDisableDoesNotRecord) {
 
 TEST_F(TraceTest, RingOverflowKeepsTheNewestSpans) {
   for (std::size_t i = 0; i < 100; ++i) {
-    const ScopedPhase phase(Phase::kUpload);
+    const ScopedPhase phase(Phase::kWireCodec);
   }
   for (std::size_t i = 0; i < kTraceRingCapacity; ++i) {
     const ScopedPhase phase(Phase::kUploadWire);

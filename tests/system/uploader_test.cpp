@@ -19,11 +19,20 @@ EventLog make_log(std::size_t n) {
   return log;
 }
 
+/// Uploads over a clean channel and flattens the delivered batches.
+EventLog upload_clean(EventUploader& up, const EventLog& log, Rng& rng) {
+  EventLog delivered;
+  for (const DeliveredBatch& batch : up.upload_wire(log, 0, rng, nullptr)) {
+    delivered.insert(delivered.end(), batch.events.begin(), batch.events.end());
+  }
+  return delivered;
+}
+
 TEST(EventUploaderTest, LosslessChannelDeliversEverythingInOrder) {
   EventUploader up(UploaderConfig{});
   Rng rng(1);
   const EventLog log = make_log(100);
-  const EventLog got = up.upload(log, rng);
+  const EventLog got = upload_clean(up, log, rng);
   ASSERT_EQ(got.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) EXPECT_EQ(got[i].tag, log[i].tag);
   EXPECT_EQ(up.stats().batches, 4u);  // 100 events / batch_size 32.
@@ -31,6 +40,11 @@ TEST(EventUploaderTest, LosslessChannelDeliversEverythingInOrder) {
   EXPECT_EQ(up.stats().retries, 0u);
   EXPECT_EQ(up.stats().events_lost, 0u);
   EXPECT_EQ(up.stats().events_delivered, 100u);
+  // A clean channel sends each batch as one frame and never NAKs.
+  EXPECT_EQ(up.wire_stats().frames_sent, 4u);
+  EXPECT_GT(up.wire_stats().bytes_sent, 0u);
+  EXPECT_EQ(up.wire_stats().corrupt_frames, 0u);
+  EXPECT_EQ(up.wire_stats().nak_retransmits, 0u);
 }
 
 TEST(EventUploaderTest, RetriesRecoverFromTransientLoss) {
@@ -40,7 +54,7 @@ TEST(EventUploaderTest, RetriesRecoverFromTransientLoss) {
   EventUploader up(cfg);
   Rng rng(2);
   const EventLog log = make_log(320);
-  const EventLog got = up.upload(log, rng);
+  const EventLog got = upload_clean(up, log, rng);
   EXPECT_EQ(got.size(), log.size());
   EXPECT_GT(up.stats().retries, 0u);
   EXPECT_GT(up.stats().backoff_delay_s, 0.0);
@@ -55,7 +69,7 @@ TEST(EventUploaderTest, ExhaustedRetryBudgetDropsWholeBatches) {
   EventUploader up(cfg);
   Rng rng(3);
   const EventLog log = make_log(500);
-  const EventLog got = up.upload(log, rng);
+  const EventLog got = upload_clean(up, log, rng);
   EXPECT_LT(got.size(), log.size());
   EXPECT_GT(up.stats().batches_lost, 0u);
   EXPECT_EQ(up.stats().events_delivered + up.stats().events_lost, log.size());
@@ -73,7 +87,7 @@ TEST(EventUploaderTest, BackoffGrowsExponentially) {
   cfg.batch_size = 8;
   EventUploader up(cfg);
   Rng rng(4);
-  (void)up.upload(make_log(8), rng);
+  (void)upload_clean(up, make_log(8), rng);
   // With (almost certainly) every attempt lost: 0.1 + 0.2 + 0.4.
   EXPECT_NEAR(up.stats().backoff_delay_s, 0.7, 1e-9);
   EXPECT_EQ(up.stats().attempts, 4u);
@@ -87,8 +101,8 @@ TEST(EventUploaderTest, DeterministicGivenSeed) {
   const EventLog log = make_log(64);
   EventUploader u1(cfg), u2(cfg);
   Rng a(42), b(42);
-  const EventLog g1 = u1.upload(log, a);
-  const EventLog g2 = u2.upload(log, b);
+  const EventLog g1 = upload_clean(u1, log, a);
+  const EventLog g2 = upload_clean(u2, log, b);
   ASSERT_EQ(g1.size(), g2.size());
   for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_EQ(g1[i].tag, g2[i].tag);
   EXPECT_EQ(u1.stats().retries, u2.stats().retries);
@@ -100,7 +114,7 @@ TEST(EventUploaderTest, LosslessBatchesArriveAtFlushTime) {
   EventUploader up(cfg);
   Rng rng(1);
   const EventLog log = make_log(35);
-  const auto batches = up.upload_batches(log, rng);
+  const auto batches = up.upload_wire(log, 0, rng, nullptr);
   ASSERT_EQ(batches.size(), 4u);  // 10 + 10 + 10 + 5.
   std::size_t offset = 0;
   for (const DeliveredBatch& b : batches) {
@@ -108,8 +122,11 @@ TEST(EventUploaderTest, LosslessBatchesArriveAtFlushTime) {
     // No loss, no retries: the batch arrives the instant it is flushed.
     EXPECT_DOUBLE_EQ(b.sent_time_s, b.events.back().time_s);
     EXPECT_DOUBLE_EQ(b.arrival_time_s, b.sent_time_s);
+    EXPECT_EQ(b.nak_retransmits, 0u);
     for (const ReadEvent& ev : b.events) {
-      EXPECT_EQ(ev.tag, log[offset++].tag);
+      EXPECT_EQ(ev.tag, log[offset].tag);
+      EXPECT_DOUBLE_EQ(ev.time_s, log[offset].time_s);
+      ++offset;
     }
   }
   EXPECT_EQ(offset, log.size());
@@ -127,7 +144,7 @@ TEST(EventUploaderTest, RetryBackoffDelaysArrival) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     EventUploader up(cfg);
     Rng rng(seed);
-    const auto batches = up.upload_batches(log, rng);
+    const auto batches = up.upload_wire(log, 0, rng, nullptr);
     if (up.stats().retries == 0 || batches.empty()) continue;
     // One batch: its arrival delay is exactly the backoff the stats saw.
     EXPECT_DOUBLE_EQ(batches[0].arrival_time_s,
@@ -144,7 +161,7 @@ TEST(EventUploaderTest, ArrivalsAreHeadOfLineOrdered) {
   cfg.batch_size = 8;
   EventUploader up(cfg);
   Rng rng(7);
-  const auto batches = up.upload_batches(make_log(160), rng);
+  const auto batches = up.upload_wire(make_log(160), 0, rng, nullptr);
   ASSERT_GT(batches.size(), 1u);
   for (std::size_t i = 0; i < batches.size(); ++i) {
     // A batch can never arrive before it was flushed...
@@ -154,30 +171,6 @@ TEST(EventUploaderTest, ArrivalsAreHeadOfLineOrdered) {
       EXPECT_GE(batches[i].arrival_time_s, batches[i - 1].arrival_time_s);
     }
   }
-}
-
-TEST(EventUploaderTest, UploadIsUploadBatchesFlattened) {
-  UploaderConfig cfg;
-  cfg.loss_probability = 0.3;
-  cfg.max_retries = 4;
-  cfg.batch_size = 8;
-  const EventLog log = make_log(200);
-  EventUploader flat(cfg), batched(cfg);
-  Rng a(11), b(11);
-  const EventLog direct = flat.upload(log, a);
-  EventLog rebuilt;
-  for (const DeliveredBatch& batch : batched.upload_batches(log, b)) {
-    rebuilt.insert(rebuilt.end(), batch.events.begin(), batch.events.end());
-  }
-  ASSERT_EQ(direct.size(), rebuilt.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct[i].tag, rebuilt[i].tag);
-    EXPECT_DOUBLE_EQ(direct[i].time_s, rebuilt[i].time_s);
-  }
-  EXPECT_EQ(flat.stats().attempts, batched.stats().attempts);
-  EXPECT_EQ(flat.stats().retries, batched.stats().retries);
-  EXPECT_EQ(flat.stats().batches_lost, batched.stats().batches_lost);
-  EXPECT_DOUBLE_EQ(flat.stats().backoff_delay_s, batched.stats().backoff_delay_s);
 }
 
 TEST(EventUploaderTest, BackoffIsBoundedByMaxBackoff) {
@@ -190,7 +183,7 @@ TEST(EventUploaderTest, BackoffIsBoundedByMaxBackoff) {
   cfg.batch_size = 8;
   EventUploader up(cfg);
   Rng rng(4);
-  (void)up.upload(make_log(8), rng);
+  (void)upload_clean(up, make_log(8), rng);
   // Unbounded would wait 1 + 4 + 16 + 64 + 256 + 1024; bounded waits
   // 1 + 2 + 2 + 2 + 2 + 2.
   EXPECT_NEAR(up.stats().backoff_delay_s, 11.0, 1e-9);
@@ -208,8 +201,8 @@ TEST(EventUploaderTest, JitterIsSeededBoundedAndOffByDefault) {
 
   EventUploader u1(cfg), u2(cfg);
   Rng a(9), b(9);
-  (void)u1.upload(make_log(8), a);
-  (void)u2.upload(make_log(8), b);
+  (void)upload_clean(u1, make_log(8), a);
+  (void)upload_clean(u2, make_log(8), b);
   // Jittered, but deterministically: same seed, same total backoff.
   EXPECT_GT(u1.stats().backoff_delay_s, base);
   EXPECT_LE(u1.stats().backoff_delay_s, base * (1.0 + cfg.jitter_fraction) + 1e-12);
@@ -218,36 +211,8 @@ TEST(EventUploaderTest, JitterIsSeededBoundedAndOffByDefault) {
   // Different seeds decorrelate the retries (that is the point of jitter).
   EventUploader u3(cfg);
   Rng c(10);
-  (void)u3.upload(make_log(8), c);
+  (void)upload_clean(u3, make_log(8), c);
   EXPECT_NE(u1.stats().backoff_delay_s, u3.stats().backoff_delay_s);
-}
-
-TEST(EventUploaderWireTest, CleanWireMatchesUploadBatchesBitForBit) {
-  UploaderConfig cfg;
-  cfg.loss_probability = 0.3;
-  cfg.max_retries = 6;
-  cfg.batch_size = 8;
-  EventUploader plain(cfg), wired(cfg);
-  Rng a(21), b(21);
-  const EventLog log = make_log(200);
-  const auto expect = plain.upload_batches(log, a);
-  const auto got = wired.upload_wire(log, 3, b, nullptr);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].sent_time_s, expect[i].sent_time_s);
-    EXPECT_DOUBLE_EQ(got[i].arrival_time_s, expect[i].arrival_time_s);
-    EXPECT_EQ(got[i].nak_retransmits, 0u);
-    ASSERT_EQ(got[i].events.size(), expect[i].events.size());
-    for (std::size_t j = 0; j < got[i].events.size(); ++j) {
-      EXPECT_EQ(got[i].events[j].tag, expect[i].events[j].tag);
-      EXPECT_DOUBLE_EQ(got[i].events[j].time_s, expect[i].events[j].time_s);
-    }
-  }
-  EXPECT_EQ(wired.stats().attempts, plain.stats().attempts);
-  EXPECT_DOUBLE_EQ(wired.stats().backoff_delay_s, plain.stats().backoff_delay_s);
-  EXPECT_EQ(wired.wire_stats().corrupt_frames, 0u);
-  EXPECT_GT(wired.wire_stats().frames_sent, 0u);
-  EXPECT_GT(wired.wire_stats().bytes_sent, 0u);
 }
 
 TEST(EventUploaderWireTest, DetectedCorruptionRetransmitsAndRecovers) {

@@ -52,9 +52,11 @@ TEST(WireCorruptorTest, DeterministicGivenSeed) {
   EXPECT_EQ(c1.stats().frames_damaged, c2.stats().frames_damaged);
 }
 
-TEST(WireCorruptorTest, BitErrorRateFlipsRoughlyTheExpectedCount) {
+class WireCorruptorBerTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(WireCorruptorBerTest, FlipsRoughlyTheExpectedCount) {
   WireCorruptorConfig cfg;
-  cfg.bit_error_rate = 1e-3;
+  cfg.bit_error_rate = GetParam();
   WireCorruptor corruptor(cfg);
   Rng rng(123);
   const std::size_t frames = 400;
@@ -66,9 +68,14 @@ TEST(WireCorruptorTest, BitErrorRateFlipsRoughlyTheExpectedCount) {
   const double expected =
       cfg.bit_error_rate * static_cast<double>(frames * frame_bytes * 8);
   const double got = static_cast<double>(corruptor.stats().bits_flipped);
-  // ~1640 expected flips; 4 sigma ~ 160.
+  // At 1e-3, ~1640 expected flips; 4 sigma ~ 160. The tiny rates expect
+  // none: their geometric gaps overflow any integer type and must end the
+  // frame, not wrap to zero and flip every bit.
   EXPECT_NEAR(got, expected, 4.0 * std::sqrt(expected));
 }
+
+INSTANTIATE_TEST_SUITE_P(BitErrorRates, WireCorruptorBerTest,
+                         ::testing::Values(1e-3, 1e-19, 1e-25, 1e-300));
 
 TEST(WireCorruptorTest, TruncationAlwaysLeavesAtLeastOneByte) {
   WireCorruptorConfig cfg;
