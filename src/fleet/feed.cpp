@@ -186,11 +186,10 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   {
     const obs::prof::ScopedPhase monitor_phase(obs::prof::Phase::kFeedMonitor);
     monitor_.observe_pass(track::monitor_observation(
-        result.report, config_.ingest.reader_count, config_.objects_total,
-        window_begin_s, window_end_s));
+        result.report, config_.ingest.reader_count, config_.objects_total));
     monitor_.observe_transport(obs::TransportObservation{
         result.frames_sent, result.corrupt_frames, result.quarantined_batches,
-        result.stale_batches, window_end_s});
+        result.stale_batches});
   }
 
   // Cumulative tallies for the health surface — always on (pure counting).

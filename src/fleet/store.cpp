@@ -22,6 +22,13 @@ struct RoutedSighting {
   Sighting sighting;
 };
 
+/// Prefetch distances for walks that hop between cold timelines (the
+/// merge and digest()): each timeline's vector header is fetched
+/// kHeaderAhead steps early, and its sightings, through the header
+/// fetched by then, kDataAhead steps early.
+constexpr std::size_t kHeaderAhead = 16;
+constexpr std::size_t kDataAhead = 8;
+
 }  // namespace
 
 bool sighting_less(const Sighting& a, const Sighting& b) {
@@ -102,24 +109,30 @@ void TrackingStore::ensure_sorted(const Shard& shard) const {
   shard.sorted = true;
 }
 
-void TrackingStore::merge_into_shard(Shard& shard, std::uint64_t epc,
-                                     const Sighting& s) {
-  std::vector<Sighting>& timeline = shard.timelines[find_or_create(shard, epc)];
+void TrackingStore::merge_into(Shard& shard, std::vector<Sighting>& timeline,
+                               const Sighting& s) {
+  if (timeline.empty() || sighting_less(timeline.back(), s)) {
+    timeline.push_back(s);
+    ++shard.sightings;
+    return;
+  }
+  // s sorts at or before the tail, so pos is never end(): an insert here
+  // is always a repair.
   const auto pos = std::lower_bound(timeline.begin(), timeline.end(), s, sighting_less);
-  if (pos != timeline.end() && *pos == s) {
+  if (*pos == s) {
     ++shard.duplicates;
     return;
   }
-  if (pos != timeline.end()) ++shard.repairs;
+  ++shard.repairs;
   timeline.insert(pos, s);
   ++shard.sightings;
 }
 
 void TrackingStore::ingest(const FacilityBatch& batch) {
-  ingest(std::vector<FacilityBatch>{batch});
+  ingest(std::span<const FacilityBatch>(&batch, 1));
 }
 
-void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
+void TrackingStore::ingest(std::span<const FacilityBatch> batches) {
   const obs::prof::ScopedPhase ingest_phase(obs::prof::Phase::kStoreIngest);
   const std::size_t shard_count = config_.shard_count;
   const sweep::SweepOptions options{config_.threads};
@@ -181,17 +194,37 @@ void TrackingStore::ingest(const std::vector<FacilityBatch>& batches) {
   phase.emplace(obs::prof::Phase::kStoreMerge);
   sweep::parallel_for(shard_count, options, [&](std::size_t s) {
     Shard& shard = shards_[s];
-    bool touched = false;
+    std::size_t n = 0;
+    for (const RoutedBatch& rb : routed) n += rb.offsets[s + 1] - rb.offsets[s];
+    if (n == 0) return;
+    // Resolve every event's slot first, in caller order: creating a
+    // timeline can reallocate shard.timelines, so no timeline reference
+    // may be held until the last slot exists.
+    std::vector<std::uint32_t> slots;
+    slots.reserve(n);
     for (const RoutedBatch& rb : routed) {
       for (std::size_t k = rb.offsets[s]; k < rb.offsets[s + 1]; ++k) {
-        merge_into_shard(shard, rb.events[k].epc, rb.events[k].sighting);
-        touched = true;
+        slots.push_back(static_cast<std::uint32_t>(find_or_create(shard, rb.events[k].epc)));
+      }
+    }
+    // Then merge in caller order, which keeps the repair and duplicate
+    // tallies exact. A call often holds about one event per timeline, so
+    // each merge touches a cold timeline: prefetch its header and its tail.
+    std::size_t i = 0;
+    for (const RoutedBatch& rb : routed) {
+      for (std::size_t k = rb.offsets[s]; k < rb.offsets[s + 1]; ++k, ++i) {
+        if (i + kHeaderAhead < n) __builtin_prefetch(&shard.timelines[slots[i + kHeaderAhead]]);
+        if (i + kDataAhead < n) {
+          const std::vector<Sighting>& ahead = shard.timelines[slots[i + kDataAhead]];
+          if (!ahead.empty()) __builtin_prefetch(&ahead.back());
+        }
+        merge_into(shard, shard.timelines[slots[i]], rb.events[k].sighting);
       }
     }
     // One version bump per ingest that routed anything here (even if every
     // event deduplicated away — the checkpoint diff only needs "may have
     // changed", and counters did change).
-    if (touched) ++shard.version;
+    ++shard.version;
   });
   phase.reset();
 
@@ -323,11 +356,7 @@ std::uint64_t TrackingStore::digest() const {
   }
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  // The walk hops between shards' cold timelines: fetch each timeline's
-  // vector header kHeaderAhead steps early, and its sightings (through the
-  // header fetched by then) kDataAhead steps early.
-  constexpr std::size_t kHeaderAhead = 16;
-  constexpr std::size_t kDataAhead = 8;
+  // The walk hops between shards' cold timelines.
   std::uint64_t hash = kFnvBasis;
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (i + kHeaderAhead < all.size()) __builtin_prefetch(all[i + kHeaderAhead].second);

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,7 +114,8 @@ class TrackingStore {
   /// within each shard). Safe to call repeatedly; not concurrently. Throws
   /// ConfigError, leaving the store untouched, if any event's reader or
   /// antenna index exceeds kMaxSightingIndex.
-  void ingest(const std::vector<FacilityBatch>& batches);
+  void ingest(std::span<const FacilityBatch> batches);
+  /// One batch, ingested in place (no copy).
   void ingest(const FacilityBatch& batch);
 
   /// The stored timeline of one tag, time-sorted; nullptr when the tag has
@@ -212,7 +214,12 @@ class TrackingStore {
   void rehash(Shard& shard, std::size_t capacity) const;
   void ensure_sorted(const Shard& shard) const;
 
-  void merge_into_shard(Shard& shard, std::uint64_t epc, const Sighting& s);
+  /// Merges one sighting into its (already resolved) timeline: appended
+  /// when it sorts after the tail, else placed by lower_bound — dropped
+  /// when an identical sighting is already stored, counted as a repair
+  /// when inserted before the tail.
+  static void merge_into(Shard& shard, std::vector<Sighting>& timeline,
+                         const Sighting& s);
   void publish_metrics(const StoreStats& before) const;
 
   StoreConfig config_;

@@ -1,7 +1,6 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "common/error.hpp"
@@ -214,21 +213,6 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
       divergence_latched_ = false;
     }
   }
-
-  if (hooks_enabled()) publish_metrics();
-}
-
-void ReliabilityMonitor::publish_metrics() const {
-  obs::gauge("obs.monitor.observed_rc").set(observed_rc());
-  obs::gauge("obs.monitor.predicted_rc").set(predicted_rc());
-  char reader_label[24];  // "r" + up to 20 digits of a size_t.
-  for (std::size_t r = 0; r < readers_.size(); ++r) {
-    std::snprintf(reader_label, sizeof reader_label, "r%zu", r);
-    obs::gauge("obs.monitor.reader_read_rate", {{"reader", reader_label}})
-        .set(readers_[r].seen.rate());
-    obs::gauge("obs.monitor.reader_cusum", {{"reader", reader_label}})
-        .set(readers_[r].cusum.value());
-  }
 }
 
 const Alert* ReliabilityMonitor::first_alert(AlertType type, int reader) const {
@@ -328,11 +312,6 @@ void ReliabilityMonitor::observe_watermark(const WatermarkObservation& obs) {
             static_cast<double>(watermark_streak_),
             static_cast<double>(config_.watermark_stall_passes), "watermark");
     }
-  }
-
-  if (hooks_enabled()) {
-    obs::gauge("obs.monitor.watermark_stall_streak")
-        .set(static_cast<double>(watermark_streak_));
   }
 }
 

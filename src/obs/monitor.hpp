@@ -29,7 +29,7 @@
 //
 // Contracts:
 //   Feedback-free  observe_pass() only reads the observation; nothing
-//                  flows back into simulated state. Registry metrics are
+//                  flows back into simulated state. The alert counters are
 //                  gated on hooks_enabled() (and disappear under
 //                  -DRFIDSIM_OBS=OFF), but the *detection* logic —
 //                  estimators, detectors, alerts() — is plain
@@ -179,8 +179,6 @@ struct ReaderPassObservation {
 /// of objects that transited; `objects_identified` the number read by at
 /// least one reader (the portal-level R_C numerator).
 struct PassObservation {
-  double window_begin_s = 0.0;
-  double window_end_s = 0.0;
   std::uint64_t objects_total = 0;
   std::uint64_t objects_identified = 0;
   std::vector<ReaderPassObservation> readers;
@@ -194,7 +192,6 @@ struct TransportObservation {
   std::uint64_t corrupt_frames = 0;      ///< Receiver-detected bad frames.
   std::uint64_t quarantined_batches = 0; ///< Dropped: NAK budget exhausted.
   std::uint64_t stale_batches = 0;       ///< Arrived past the staleness horizon.
-  double window_end_s = 0.0;
 };
 
 /// One pass's freshness reading, as fed to observe_watermark(). The
@@ -229,9 +226,11 @@ struct MonitorConfig {
 
 /// The streaming monitor. Construct once per portal/run, feed
 /// observe_pass() in pass-index order, read alerts()/estimates at any
-/// point. Alerts are typed records in alerts(); estimates and alert
-/// counts are mirrored into the metrics registry when obs hooks are
-/// enabled.
+/// point. Alerts are typed records in alerts(); alert counts are mirrored
+/// into the metrics registry (obs.monitor.alerts{type}) when obs hooks
+/// are enabled. Estimates are read through the accessors only: a process
+/// may run one monitor per facility, and an unlabelled gauge would hold
+/// whichever monitor wrote last.
 class ReliabilityMonitor {
  public:
   explicit ReliabilityMonitor(MonitorConfig config = {});
@@ -271,8 +270,7 @@ class ReliabilityMonitor {
   /// Windowed model prediction 1 - prod(1 - P_r) over per-reader rates.
   double predicted_rc() const;
 
-  /// Per-reader windowed read rate / detector statistics (for exposition
-  /// and tests).
+  /// Per-reader windowed read rate / detector statistics.
   double reader_read_rate(std::size_t reader) const;
   double reader_ewma(std::size_t reader) const;
   double reader_cusum(std::size_t reader) const;
@@ -307,7 +305,6 @@ class ReliabilityMonitor {
 
   void raise(AlertType type, std::uint64_t pass, int reader, double value,
              double threshold, const char* detector);
-  void publish_metrics() const;
 
   MonitorConfig config_;
   std::vector<ReaderState> readers_;

@@ -344,8 +344,6 @@ EventLog PortalSimulator::run(Rng& rng) {
 
 obs::PassObservation PortalSimulator::pass_observation(const EventLog& log) const {
   obs::PassObservation out;
-  out.window_begin_s = config_.start_time_s;
-  out.window_end_s = config_.end_time_s;
   out.objects_total = tags_.size();
   out.readers.resize(readers_.size());
   for (std::size_t r = 0; r < readers_.size() && r < stats_.per_reader.size(); ++r) {

@@ -1,14 +1,16 @@
 #include "track/resilient_ingest.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 
@@ -16,21 +18,49 @@ namespace rfidsim::track {
 
 namespace {
 
-/// One read's (tag, reader, antenna) stream and its rank in time order,
-/// for transport-duplicate collapsing. Ordering by stream, then rank,
-/// keeps each stream's reads in time order.
-struct StreamRead {
-  std::uint64_t tag;
-  std::size_t reader;
-  std::size_t antenna;
-  std::size_t rank;
+/// A (tag, reader, antenna) read stream; unused fields stay 0, so one key
+/// type also serves the distinct-tag and distinct-(tag, reader) sets.
+struct StreamKey {
+  std::uint64_t tag = 0;
+  std::size_t reader = 0;
+  std::size_t antenna = 0;
 
-  bool operator<(const StreamRead& o) const {
-    return std::tie(tag, reader, antenna, rank) < std::tie(o.tag, o.reader, o.antenna, o.rank);
+  friend bool operator==(const StreamKey&, const StreamKey&) = default;
+};
+
+/// The distinct keys of one pass, numbered densely in first-seen order.
+/// Open addressing with linear probing over slot + 1 entries (0 = empty),
+/// SplitMix64-mixed home slot: the scheme of the store's shard index.
+/// Sized once for the pass's record count at load <= 0.5, so it never
+/// rehashes.
+class StreamIndex {
+ public:
+  explicit StreamIndex(std::size_t max_keys)
+      : index_(std::bit_ceil(2 * max_keys + 1), 0) {
+    keys_.reserve(max_keys);
   }
-  bool same_stream(const StreamRead& o) const {
-    return tag == o.tag && reader == o.reader && antenna == o.antenna;
+
+  /// Dense number of `key`, and whether this call added it.
+  std::pair<std::size_t, bool> find_or_add(const StreamKey& key) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t h = static_cast<std::size_t>(
+                        splitmix64(key.tag ^ (key.reader * 0x9e3779b97f4a7c15ULL) ^
+                                   (key.antenna * 0xc2b2ae3d27d4eb4fULL))) &
+                    mask;
+    while (index_[h] != 0) {
+      if (keys_[index_[h] - 1] == key) return {index_[h] - 1, false};
+      h = (h + 1) & mask;
+    }
+    keys_.push_back(key);
+    index_[h] = static_cast<std::uint32_t>(keys_.size());
+    return {keys_.size() - 1, true};
   }
+
+  std::size_t size() const { return keys_.size(); }
+
+ private:
+  std::vector<std::uint32_t> index_;
+  std::vector<StreamKey> keys_;
 };
 
 /// Ingest registry hooks: one aggregate add per digested pass.
@@ -142,31 +172,26 @@ IngestReport ResilientIngest::finish(IngestReport report, sys::EventLog valid,
   for (std::size_t i = 0; i < n; ++i) by_time[i] = {valid[i].time_s, i};
   if (report.reordered > 0) std::sort(by_time.begin(), by_time.end());
 
-  // Then collapse transport duplicates per (tag, reader, antenna) stream.
-  // Grouped by stream, rank order keeps each stream in time order; a read
-  // is a duplicate iff it lies within the window of its stream's last
-  // *accepted* read.
-  std::vector<StreamRead> streams(n);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    const sys::ReadEvent& ev = valid[by_time[rank].second];
-    streams[rank] = {ev.tag.value, ev.reader_index, ev.antenna_index, rank};
-  }
-  std::sort(streams.begin(), streams.end());
-  std::vector<std::uint8_t> duplicate(n, 0);
-  double last_accepted = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = by_time[streams[i].rank].first;
-    if (i > 0 && streams[i].same_stream(streams[i - 1]) &&
-        t - last_accepted <= config_.dedup_window_s) {
-      duplicate[streams[i].rank] = 1;
+  // Then collapse transport duplicates in one walk of the ranks: a read is
+  // a duplicate iff it lies within the window of its (tag, reader,
+  // antenna) stream's last *accepted* read.
+  StreamIndex streams(n);
+  std::vector<double> last_accepted;  // Per stream, by dense number.
+  last_accepted.reserve(n);
+  report.events.reserve(n);
+  for (const auto& [t, arrival] : by_time) {
+    const sys::ReadEvent& ev = valid[arrival];
+    const auto [stream, added] =
+        streams.find_or_add({ev.tag.value, ev.reader_index, ev.antenna_index});
+    if (added) {
+      last_accepted.push_back(t);
+    } else if (t - last_accepted[stream] <= config_.dedup_window_s) {
       ++report.duplicates;
       continue;
+    } else {
+      last_accepted[stream] = t;
     }
-    last_accepted = t;
-  }
-  report.events.reserve(n - report.duplicates);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    if (duplicate[rank] == 0) report.events.push_back(valid[by_time[rank].second]);
+    report.events.push_back(ev);
   }
   report.accepted = report.events.size();
 
@@ -223,30 +248,21 @@ IngestReport ResilientIngest::ingest_csv(const std::string& csv,
 
 obs::PassObservation monitor_observation(const IngestReport& report,
                                          std::size_t reader_count,
-                                         std::size_t objects_total,
-                                         double window_begin_s, double window_end_s) {
+                                         std::size_t objects_total) {
   obs::PassObservation out;
-  out.window_begin_s = window_begin_s;
-  out.window_end_s = window_end_s;
   out.objects_total = objects_total;
   out.readers.resize(reader_count);
-  // Distinct tags, and distinct tags per reader: sort the (tag, reader)
-  // pairs once and count first occurrences.
-  std::vector<std::pair<std::uint64_t, std::size_t>> sightings;
-  sightings.reserve(report.events.size());
+  // Distinct tags, and distinct tags per reader: one flat set each.
+  StreamIndex tags(report.events.size());
+  StreamIndex tag_readers(report.events.size());
   for (const sys::ReadEvent& ev : report.events) {
-    sightings.emplace_back(ev.tag.value, ev.reader_index);
-    if (ev.reader_index < reader_count) ++out.readers[ev.reader_index].rounds;
+    tags.find_or_add({ev.tag.value});
+    if (ev.reader_index >= reader_count) continue;
+    obs::ReaderPassObservation& reader = out.readers[ev.reader_index];
+    ++reader.rounds;
+    if (tag_readers.find_or_add({ev.tag.value, ev.reader_index}).second) ++reader.objects_seen;
   }
-  std::sort(sightings.begin(), sightings.end());
-  std::uint64_t distinct_tags = 0;
-  for (std::size_t i = 0; i < sightings.size(); ++i) {
-    if (i > 0 && sightings[i] == sightings[i - 1]) continue;
-    if (i == 0 || sightings[i].first != sightings[i - 1].first) ++distinct_tags;
-    const std::size_t reader = sightings[i].second;
-    if (reader < reader_count) ++out.readers[reader].objects_seen;
-  }
-  out.objects_identified = std::min<std::uint64_t>(distinct_tags, objects_total);
+  out.objects_identified = std::min<std::uint64_t>(tags.size(), objects_total);
   for (obs::ReaderPassObservation& reader : out.readers) {
     reader.objects_seen = std::min<std::uint64_t>(reader.objects_seen, objects_total);
   }

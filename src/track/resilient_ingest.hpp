@@ -141,7 +141,6 @@ bool validate_event(const sys::ReadEvent& ev, const IngestConfig& config,
 /// Feedback-free: reads the report only.
 obs::PassObservation monitor_observation(const IngestReport& report,
                                          std::size_t reader_count,
-                                         std::size_t objects_total,
-                                         double window_begin_s, double window_end_s);
+                                         std::size_t objects_total);
 
 }  // namespace rfidsim::track

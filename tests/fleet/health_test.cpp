@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -15,6 +16,7 @@
 
 #include "fleet/service.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 
 namespace rfidsim::fleet {
@@ -198,6 +200,37 @@ TEST(FleetHealthTest, JsonRowsCarryStallStateAndSentinelAges) {
   EXPECT_NE(json.find("\"min_watermark_s\":-1.000000"), std::string::npos);
   EXPECT_NE(json.find("\"watermark_stalled\":1"), std::string::npos);  // Alert tally.
   EXPECT_NE(json.find("\"totals\":{\"delivered_batches\":"), std::string::npos);
+}
+
+/// Every facility owns a monitor, so the monitor's estimates are reported
+/// per facility by health_snapshot() and have no unlabelled registry
+/// gauge: with two facilities such a gauge could only hold whichever
+/// monitor wrote last.
+TEST(FleetHealthTest, MonitorEstimatesAreReportedPerFacilityOnly) {
+  const track::ObjectRegistry registry = three_object_registry();
+  FleetService service(registry);
+  const FacilityId all_three = service.add_facility(feed_config(2, 3));
+  const FacilityId one_of_three = service.add_facility(feed_config(2, 3));
+  const bool saved = obs::enabled();
+  obs::set_enabled(true);
+  Rng rng(7);
+  (void)service.ingest_pass(all_three, full_pass({1, 2, 3}, 2, 0.0), 0.0, 10.0, rng);
+  (void)service.ingest_pass(one_of_three, full_pass({1}, 2, 0.0), 0.0, 10.0, rng);
+  std::ostringstream exposition;
+  obs::registry().write_exposition(exposition);
+  obs::set_enabled(saved);
+
+  const FleetHealth health = service.health_snapshot();
+  EXPECT_DOUBLE_EQ(health.per_facility[all_three].observed_rc, 1.0);
+  EXPECT_DOUBLE_EQ(health.per_facility[one_of_three].observed_rc, 1.0 / 3.0);
+  for (std::string family :
+       {"obs.monitor.observed_rc", "obs.monitor.predicted_rc",
+        "obs.monitor.reader_read_rate", "obs.monitor.reader_cusum",
+        "obs.monitor.watermark_stall_streak"}) {
+    std::replace(family.begin(), family.end(), '.', '_');
+    EXPECT_EQ(exposition.str().find("# TYPE rfidsim_" + family + " "), std::string::npos)
+        << family;
+  }
 }
 
 /// The always-on contract, stated as an equality: the serialized snapshot

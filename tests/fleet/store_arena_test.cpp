@@ -279,6 +279,48 @@ TEST(StoreArenaTest, ArenaGrowthPreservesTimelines) {
   expect_matches_reference(store, ref);
 }
 
+TEST(StoreArenaTest, TailAppendBoundariesMatchReferenceModel) {
+  // A sighting that sorts after its timeline's tail is appended without a
+  // search; everything else goes through lower_bound. Pin the boundary:
+  // equal to the tail is a duplicate, a larger tie-break at the tail's
+  // time is a plain append, a smaller one is a repair.
+  const std::vector<FacilityBatch> first = {
+      batch(1, 5.0, {event(1.0, 100, 1, 1), event(1.0, 200, 1, 1), event(1.0, 300, 1, 1)})};
+  // 24 events on EPC 400 in one batch: the shard's prefetch window runs
+  // over the very timeline being appended to. Event 20 repeats the tail,
+  // 21 repairs the middle, 22 repeats a middle sighting.
+  std::vector<sys::ReadEvent> run;
+  for (int k = 0; k < 20; ++k) run.push_back(event(2.0 + 0.125 * k, 400));
+  run.push_back(event(2.0 + 0.125 * 19, 400));
+  run.push_back(event(2.0 + 0.125 * 5, 400, 0, 1));
+  run.push_back(event(2.0 + 0.125 * 3, 400));
+  run.push_back(event(10.0, 400));
+  const std::vector<FacilityBatch> second = {
+      batch(1, 6.0,
+            {event(1.0, 100, 1, 1),    // equals the tail: duplicate
+             event(1.0, 200, 1, 2),    // larger antenna: append
+             event(1.0, 300, 0, 5)}),  // smaller reader: repair
+      batch(2, 6.0, {event(1.0, 100, 0, 0)}),  // larger facility: append
+      batch(0, 6.0, {event(1.0, 300, 9, 9)}),  // smaller facility: repair
+      batch(1, 6.0, run)};
+
+  ReferenceStore ref;
+  for (const FacilityBatch& b : first) ref.ingest(b);
+  for (const FacilityBatch& b : second) ref.ingest(b);
+  EXPECT_EQ(ref.accepted, 29u);
+  EXPECT_EQ(ref.duplicates, 3u);
+  EXPECT_EQ(ref.repairs, 3u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << "shards " << shards << " threads " << threads);
+      TrackingStore store(StoreConfig{shards, threads});
+      store.ingest(first);
+      store.ingest(second);
+      expect_matches_reference(store, ref);
+    }
+  }
+}
+
 TEST(StoreArenaTest, VisitShardWalksAscendingEpcs) {
   // visit_shard's ascending order comes from the lazily rebuilt by_epc
   // permutation; interleave inserts and visits so a stale permutation (the

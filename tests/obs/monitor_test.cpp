@@ -115,10 +115,8 @@ TEST(AlertTypeTest, NamesAreStable) {
 
 /// A healthy pass: both readers run 10 rounds, each sees 9 of 10 objects,
 /// the portal identifies all 10 (predicted 1-(0.1)^2 = 0.99 ~ observed 1.0).
-PassObservation healthy_pass(double t0) {
-  return PassObservation{.window_begin_s = t0,
-                         .window_end_s = t0 + 1.0,
-                         .objects_total = 10,
+PassObservation healthy_pass() {
+  return PassObservation{.objects_total = 10,
                          .objects_identified = 10,
                          .readers = {{.rounds = 10, .objects_seen = 9},
                                      {.rounds = 10, .objects_seen = 9}}};
@@ -126,7 +124,7 @@ PassObservation healthy_pass(double t0) {
 
 TEST(ReliabilityMonitorTest, HealthyStreamRaisesNoAlerts) {
   ReliabilityMonitor mon;
-  for (int p = 0; p < 50; ++p) mon.observe_pass(healthy_pass(p));
+  for (int p = 0; p < 50; ++p) mon.observe_pass(healthy_pass());
   EXPECT_TRUE(mon.alerts().empty());
   EXPECT_EQ(mon.passes(), 50u);
   EXPECT_EQ(mon.reader_count(), 2u);
@@ -137,8 +135,8 @@ TEST(ReliabilityMonitorTest, HealthyStreamRaisesNoAlerts) {
 
 TEST(ReliabilityMonitorTest, SilentReaderFiresOnceAndRearmsAfterRecovery) {
   ReliabilityMonitor mon;
-  for (int p = 0; p < 4; ++p) mon.observe_pass(healthy_pass(p));
-  PassObservation down = healthy_pass(4.0);
+  for (int p = 0; p < 4; ++p) mon.observe_pass(healthy_pass());
+  PassObservation down = healthy_pass();
   down.readers[1] = {.rounds = 0, .objects_seen = 0};
   down.objects_identified = 9;
   mon.observe_pass(down);
@@ -153,7 +151,7 @@ TEST(ReliabilityMonitorTest, SilentReaderFiresOnceAndRearmsAfterRecovery) {
   EXPECT_EQ(silence_alerts, 1u);
 
   // Recover, then fail again: the latch re-arms.
-  mon.observe_pass(healthy_pass(7.0));
+  mon.observe_pass(healthy_pass());
   mon.observe_pass(down);
   silence_alerts = 0;
   for (const Alert& a : mon.alerts()) silence_alerts += a.type == AlertType::kSilence;
@@ -162,9 +160,9 @@ TEST(ReliabilityMonitorTest, SilentReaderFiresOnceAndRearmsAfterRecovery) {
 
 TEST(ReliabilityMonitorTest, PersistentRoundDeficitFiresCusumDegradedAlert) {
   ReliabilityMonitor mon;
-  for (int p = 0; p < 8; ++p) mon.observe_pass(healthy_pass(p));
+  for (int p = 0; p < 8; ++p) mon.observe_pass(healthy_pass());
   for (int p = 8; p < 20; ++p) {
-    PassObservation slow = healthy_pass(p);
+    PassObservation slow = healthy_pass();
     slow.readers[0].rounds = 3;  // Deficit 0.7 against the healthy reader.
     slow.readers[0].objects_seen = 4;
     mon.observe_pass(slow);
@@ -181,13 +179,13 @@ TEST(ReliabilityMonitorTest, PersistentRoundDeficitFiresCusumDegradedAlert) {
 TEST(ReliabilityMonitorTest, NoDriftAlertsDuringWarmup) {
   ReliabilityMonitor mon({.warmup_passes = 100});
   for (int p = 0; p < 30; ++p) {
-    PassObservation slow = healthy_pass(p);
+    PassObservation slow = healthy_pass();
     slow.readers[0].rounds = 1;
     mon.observe_pass(slow);
   }
   EXPECT_EQ(mon.first_alert(AlertType::kReaderDegraded), nullptr);
   // Silence is exempt from warm-up.
-  PassObservation down = healthy_pass(30.0);
+  PassObservation down = healthy_pass();
   down.readers[0].rounds = 0;
   mon.observe_pass(down);
   EXPECT_NE(mon.first_alert(AlertType::kSilence, 0), nullptr);
@@ -198,9 +196,7 @@ TEST(ReliabilityMonitorTest, CorrelatedMissesFireModelDivergence) {
   // Both readers see 60% of objects, but always the *same* 60%: the
   // portal identifies 6/10 while independence predicts 1-0.4^2 = 0.84.
   for (int p = 0; p < 20; ++p) {
-    mon.observe_pass(PassObservation{.window_begin_s = static_cast<double>(p),
-                                     .window_end_s = p + 1.0,
-                                     .objects_total = 10,
+    mon.observe_pass(PassObservation{.objects_total = 10,
                                      .objects_identified = 6,
                                      .readers = {{.rounds = 10, .objects_seen = 6},
                                                  {.rounds = 10, .objects_seen = 6}}});
@@ -216,8 +212,8 @@ TEST(ReliabilityMonitorTest, DetectionRunsWithHooksDisabled) {
   const bool saved = enabled();
   set_enabled(false);
   ReliabilityMonitor mon;
-  for (int p = 0; p < 4; ++p) mon.observe_pass(healthy_pass(p));
-  PassObservation down = healthy_pass(4.0);
+  for (int p = 0; p < 4; ++p) mon.observe_pass(healthy_pass());
+  PassObservation down = healthy_pass();
   down.readers[0].rounds = 0;
   mon.observe_pass(down);
   EXPECT_NE(mon.first_alert(AlertType::kSilence, 0), nullptr);
@@ -230,7 +226,7 @@ TEST(ReliabilityMonitorTest, AlertsAreCountedInRegistryWhenHooksLive) {
   Counter& silences = counter("obs.monitor.alerts", {{"type", "silence"}});
   const std::uint64_t before = silences.value();
   ReliabilityMonitor mon;
-  PassObservation down = healthy_pass(0.0);
+  PassObservation down = healthy_pass();
   down.readers[0].rounds = 0;
   mon.observe_pass(down);
   EXPECT_EQ(silences.value() - before, kHooksLive ? 1u : 0u);
@@ -243,7 +239,7 @@ TEST(ReliabilityMonitorTest, StateIsAPureFunctionOfTheObservationSequence) {
   const bool saved = enabled();
   auto feed = [](ReliabilityMonitor& mon) {
     for (int p = 0; p < 12; ++p) {
-      PassObservation obs = healthy_pass(p);
+      PassObservation obs = healthy_pass();
       if (p >= 6) {
         obs.readers[1].rounds = 0;
         obs.readers[1].objects_seen = 0;
@@ -272,18 +268,18 @@ TEST(ReliabilityMonitorTest, StateIsAPureFunctionOfTheObservationSequence) {
 
 TEST(ReliabilityMonitorTest, RejectsInconsistentStreams) {
   ReliabilityMonitor mon;
-  mon.observe_pass(healthy_pass(0.0));
-  PassObservation wrong = healthy_pass(1.0);
+  mon.observe_pass(healthy_pass());
+  PassObservation wrong = healthy_pass();
   wrong.readers.resize(3);
   EXPECT_THROW(mon.observe_pass(wrong), ConfigError);
-  PassObservation bad = healthy_pass(1.0);
+  PassObservation bad = healthy_pass();
   bad.objects_identified = 11;
   EXPECT_THROW(mon.observe_pass(bad), ConfigError);
 }
 
 TEST(ReliabilityMonitorTest, ResetReturnsToInitialState) {
   ReliabilityMonitor mon;
-  PassObservation down = healthy_pass(0.0);
+  PassObservation down = healthy_pass();
   down.readers[0].rounds = 0;
   mon.observe_pass(down);
   EXPECT_FALSE(mon.alerts().empty());
@@ -292,7 +288,7 @@ TEST(ReliabilityMonitorTest, ResetReturnsToInitialState) {
   EXPECT_EQ(mon.passes(), 0u);
   EXPECT_EQ(mon.reader_count(), 0u);
   // A stream with a different reader count is accepted after reset.
-  PassObservation three = healthy_pass(0.0);
+  PassObservation three = healthy_pass();
   three.readers.push_back({.rounds = 10, .objects_seen = 9});
   mon.observe_pass(three);
   EXPECT_EQ(mon.reader_count(), 3u);

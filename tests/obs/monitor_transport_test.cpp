@@ -8,28 +8,26 @@
 namespace rfidsim::obs {
 namespace {
 
-TransportObservation clean_pass(double t) {
+TransportObservation clean_pass() {
   TransportObservation obs;
   obs.frames = 10;
-  obs.window_end_s = t;
   return obs;
 }
 
 TEST(MonitorTransportTest, CleanPassesRaiseNothing) {
   ReliabilityMonitor monitor;
   for (int i = 0; i < 8; ++i) {
-    monitor.observe_transport(clean_pass(10.0 * i));
+    monitor.observe_transport(clean_pass());
   }
   EXPECT_TRUE(monitor.alerts().empty());
 }
 
 TEST(MonitorTransportTest, CorruptFramesRaiseOnceWhileLatched) {
   ReliabilityMonitor monitor;
-  TransportObservation obs = clean_pass(10.0);
+  TransportObservation obs = clean_pass();
   obs.corrupt_frames = 4;
   // A five-pass corruption storm is ONE alert, not five.
   for (int i = 0; i < 5; ++i) {
-    obs.window_end_s = 10.0 * (i + 1);
     monitor.observe_transport(obs);
   }
   ASSERT_EQ(monitor.alerts().size(), 1u);
@@ -44,11 +42,10 @@ TEST(MonitorTransportTest, CorruptFramesRaiseOnceWhileLatched) {
 
 TEST(MonitorTransportTest, CorruptionRearmsAfterACleanPass) {
   ReliabilityMonitor monitor;
-  TransportObservation dirty = clean_pass(10.0);
+  TransportObservation dirty = clean_pass();
   dirty.corrupt_frames = 1;
   monitor.observe_transport(dirty);
-  monitor.observe_transport(clean_pass(20.0));  // Clears the latch.
-  dirty.window_end_s = 30.0;
+  monitor.observe_transport(clean_pass());  // Clears the latch.
   monitor.observe_transport(dirty);
   ASSERT_EQ(monitor.alerts().size(), 2u);
   EXPECT_EQ(monitor.alerts()[1].pass, 2u);
@@ -58,7 +55,7 @@ TEST(MonitorTransportTest, QuarantineAloneTriggersWireCorruption) {
   // A quarantined batch means corruption beat the NAK budget — alert even
   // if this pass's frame tally happens to be clean.
   ReliabilityMonitor monitor;
-  TransportObservation obs = clean_pass(5.0);
+  TransportObservation obs = clean_pass();
   obs.quarantined_batches = 1;
   monitor.observe_transport(obs);
   ASSERT_EQ(monitor.alerts().size(), 1u);
@@ -67,11 +64,11 @@ TEST(MonitorTransportTest, QuarantineAloneTriggersWireCorruption) {
 
 TEST(MonitorTransportTest, StaleBatchesRaiseTypedLatchedAlert) {
   ReliabilityMonitor monitor;
-  TransportObservation obs = clean_pass(10.0);
+  TransportObservation obs = clean_pass();
   obs.stale_batches = 3;
   monitor.observe_transport(obs);
   monitor.observe_transport(obs);  // Latched.
-  monitor.observe_transport(clean_pass(30.0));
+  monitor.observe_transport(clean_pass());
   monitor.observe_transport(obs);  // Re-armed.
   ASSERT_EQ(monitor.alerts().size(), 2u);
   for (const Alert& alert : monitor.alerts()) {
@@ -85,7 +82,7 @@ TEST(MonitorTransportTest, StaleBatchesRaiseTypedLatchedAlert) {
 
 TEST(MonitorTransportTest, WireAndStaleAlertsAreIndependent) {
   ReliabilityMonitor monitor;
-  TransportObservation obs = clean_pass(10.0);
+  TransportObservation obs = clean_pass();
   obs.corrupt_frames = 2;
   obs.stale_batches = 1;
   monitor.observe_transport(obs);
@@ -96,7 +93,7 @@ TEST(MonitorTransportTest, WireAndStaleAlertsAreIndependent) {
 
 TEST(MonitorTransportTest, ResetClearsTransportState) {
   ReliabilityMonitor monitor;
-  TransportObservation obs = clean_pass(10.0);
+  TransportObservation obs = clean_pass();
   obs.corrupt_frames = 1;
   monitor.observe_transport(obs);
   monitor.reset();
@@ -118,7 +115,7 @@ TEST(MonitorTransportTest, TransportDoesNotPerturbPassIndexing) {
   pass.readers[0].rounds = 10;
   pass.readers[0].objects_seen = 4;
   monitor.observe_pass(pass);
-  monitor.observe_transport(clean_pass(10.0));
+  monitor.observe_transport(clean_pass());
   monitor.observe_pass(pass);
   EXPECT_EQ(monitor.passes(), 2u);
 }

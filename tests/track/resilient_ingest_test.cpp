@@ -304,8 +304,8 @@ TEST(ResilientIngestTest, InferredRosterScansOnlyReadersThatSpoke) {
 // --- Reference models ---------------------------------------------------
 //
 // The map/set formulations ingest() and monitor_observation() replaced
-// with flat sort passes, kept here as the oracle every decision and count
-// must equal.
+// with a time sort and flat hash tables, kept here as the oracle every
+// decision and count must equal.
 
 IngestReport reference_ingest(const sys::EventLog& raw, const IngestConfig& cfg,
                               double begin_s, double end_s) {
@@ -433,6 +433,56 @@ sys::EventLog near_duplicate_log(Rng& rng, std::size_t n) {
   return log;
 }
 
+/// A large pass over up to 2000 streams (200 tags x 5 readers x 2
+/// antennas) whose tag ids are multiples of 2^16, tag 0 included: a table
+/// indexed by a tag's unmixed low bits would chain them all. Times sit on
+/// a 1 ms grid around the dedup window, in random arrival order.
+sys::EventLog colliding_stream_log(Rng& rng, std::size_t n) {
+  sys::EventLog log;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cluster = 0.5 * static_cast<double>(rng.uniform_int(0, 19));
+    const double t = cluster + 0.001 * static_cast<double>(rng.uniform_int(0, 6));
+    log.push_back(event(t, static_cast<std::uint64_t>(rng.uniform_int(0, 199)) << 16,
+                        static_cast<std::size_t>(rng.uniform_int(0, 4)),
+                        static_cast<std::size_t>(rng.uniform_int(0, 1))));
+  }
+  return log;
+}
+
+/// ingest(), ingest_validated() and monitor_observation() on one pass,
+/// each against its reference model.
+void expect_matches_reference_models(const sys::EventLog& raw, const IngestConfig& cfg,
+                                     std::size_t objects) {
+  const ResilientIngest ingest(cfg);
+
+  const IngestReport want = reference_ingest(raw, cfg, 0.0, 10.0);
+  const IngestReport got = ingest.ingest(raw, 0.0, 10.0);
+  expect_same_report(got, want);
+
+  // ingest() is the validation pass plus ingest_validated().
+  sys::EventLog valid;
+  for (const sys::ReadEvent& ev : raw) {
+    if (validate_event(ev, cfg, 0.0, 10.0)) valid.push_back(ev);
+  }
+  IngestReport split = ingest.ingest_validated(valid, 0.0, 10.0);
+  EXPECT_EQ(split.quarantined, 0u);
+  split.quarantined = got.quarantined;
+  split.quarantine_samples = got.quarantine_samples;
+  expect_same_report(split, got);
+
+  const std::size_t readers = 4;
+  const obs::PassObservation obs_got = monitor_observation(got, readers, objects);
+  const obs::PassObservation obs_want = reference_observation(want, readers, objects);
+  EXPECT_EQ(obs_got.objects_identified, obs_want.objects_identified);
+  EXPECT_EQ(obs_got.objects_total, obs_want.objects_total);
+  ASSERT_EQ(obs_got.readers.size(), obs_want.readers.size());
+  for (std::size_t r = 0; r < readers; ++r) {
+    EXPECT_EQ(obs_got.readers[r].rounds, obs_want.readers[r].rounds) << "reader " << r;
+    EXPECT_EQ(obs_got.readers[r].objects_seen, obs_want.readers[r].objects_seen)
+        << "reader " << r;
+  }
+}
+
 TEST(ResilientIngestTest, MatchesMapAndSetReferenceModels) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE(seed);
@@ -442,37 +492,21 @@ TEST(ResilientIngestTest, MatchesMapAndSetReferenceModels) {
     cfg.silence_gap_s = 0.4 + 0.1 * static_cast<double>(seed % 4);
     if (seed % 3 == 0) cfg.dedup_window_s = 0.0;  // Exact repeats only.
     if (seed % 2 == 0) cfg.reader_count = 3 + seed % 3;  // 4 and 5 add silent readers.
-    const ResilientIngest ingest(cfg);
-
-    const IngestReport want = reference_ingest(raw, cfg, 0.0, 10.0);
-    const IngestReport got = ingest.ingest(raw, 0.0, 10.0);
-    expect_same_report(got, want);
-
-    // ingest() is the validation pass plus ingest_validated().
-    sys::EventLog valid;
-    for (const sys::ReadEvent& ev : raw) {
-      if (validate_event(ev, cfg, 0.0, 10.0)) valid.push_back(ev);
-    }
-    IngestReport split = ingest.ingest_validated(valid, 0.0, 10.0);
-    EXPECT_EQ(split.quarantined, 0u);
-    split.quarantined = got.quarantined;
-    split.quarantine_samples = got.quarantine_samples;
-    expect_same_report(split, got);
-
-    const std::size_t readers = 4;
     const std::size_t objects = seed % 5 == 0 ? 3 : 10;  // 3 clamps the counts.
-    const obs::PassObservation obs_got =
-        monitor_observation(got, readers, objects, 0.0, 10.0);
-    const obs::PassObservation obs_want = reference_observation(want, readers, objects);
-    EXPECT_EQ(obs_got.objects_identified, obs_want.objects_identified);
-    EXPECT_EQ(obs_got.objects_total, obs_want.objects_total);
-    ASSERT_EQ(obs_got.readers.size(), obs_want.readers.size());
-    for (std::size_t r = 0; r < readers; ++r) {
-      EXPECT_EQ(obs_got.readers[r].rounds, obs_want.readers[r].rounds) << "reader " << r;
-      EXPECT_EQ(obs_got.readers[r].objects_seen, obs_want.readers[r].objects_seen)
-          << "reader " << r;
-    }
+    expect_matches_reference_models(raw, cfg, objects);
   }
+  // ~4000-record passes over ~2000 streams. Reader 4 lies beyond the
+  // observation's 4 readers; with reader_count 4 it is quarantined
+  // instead. 150 objects clamp the 200 distinct tags.
+  for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    IngestConfig cfg;
+    if (seed % 2 == 0) cfg.reader_count = 4;
+    expect_matches_reference_models(colliding_stream_log(rng, 4000), cfg, 150);
+  }
+  SCOPED_TRACE("empty pass");
+  expect_matches_reference_models({}, IngestConfig{}, 10);
 }
 
 TEST(ResilientIngestTest, RejectsBadConfig) {
