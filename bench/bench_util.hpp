@@ -143,11 +143,10 @@ inline bool write_json(const std::string& path, int pr,
 ///   --attribution-dump <path>  Per-phase stage-attribution report (JSON;
 ///                          see EXPERIMENTS.md). Enables the deterministic
 ///                          phase timers for the whole run.
-///   --obs-off              Run with observability disabled (overhead/
-///                          differential experiments).
 ///   --threads <n>          Worker-thread request for benches with a
-///                          parallel path (0 = the shared sweep engine's
-///                          default). Benches read it via threads().
+///                          parallel path (0 = none: the bench's built-in
+///                          thread counts only). Benches read it via
+///                          threads().
 ///   --seed <u64>           Scenario seed override; defaults to kSeed.
 /// A bench names its own flags, each taking one value, in `own_flags` and
 /// reads them back with flag(). Any other `--` argument exits 2 with a
@@ -192,8 +191,6 @@ class Session {
         take_value(profile_path_);
       } else if (arg == "--attribution-dump") {
         take_value(attribution_path_);
-      } else if (arg == "--obs-off") {
-        obs::set_enabled(false);
       } else if (arg == "--threads") {
         threads_ = static_cast<std::size_t>(take_number("thread count"));
       } else if (arg == "--seed") {
@@ -241,7 +238,7 @@ class Session {
       obs::prof::stop();
       if (profile_path_.empty()) {
         // stderr: RFIDSIM_OBS=prof alone must leave stdout byte-identical
-        // to an obs-off run (CI cmp-gates exactly that).
+        // to an RFIDSIM_OBS=off run (CI cmp-gates exactly that).
         std::fprintf(stderr,
                      "sampling profiler: %llu samples (%llu ring-dropped), no "
                      "--profile-dump path given\n",
@@ -298,7 +295,7 @@ class Session {
     const auto it = own_values_.find(name);
     return it == own_values_.end() ? nullptr : it->second.c_str();
   }
-  /// --threads value; 0 (default) = borrow the shared sweep engine.
+  /// --threads value; 0 (default) = no extra thread count.
   std::size_t threads() const { return threads_; }
   /// --seed value; kSeed unless overridden.
   std::uint64_t seed() const { return seed_; }

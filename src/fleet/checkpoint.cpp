@@ -174,7 +174,7 @@ std::vector<std::uint8_t> Checkpointer::write(const TrackingStore& store,
   // buffer, on the store's ingest threads. The frames join the output in
   // shard order, so the bytes are the same at every thread count.
   std::vector<ShardFrame> frames(written.size());
-  sweep::parallel_for(written.size(), sweep::SweepOptions{store.config().threads},
+  sweep::parallel_for(written.size(), store.config().threads,
                       [&](std::size_t i) { encode_shard(store, written[i], frames[i]); });
   std::size_t total = out.size() + kMaxEndFrameBytes;
   for (const ShardFrame& f : frames) total += f.bytes.size();

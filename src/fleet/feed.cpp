@@ -201,16 +201,22 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   }
   totals_.quarantined_records += result.quarantined;
   totals_.late_batches += result.late_batches;
-  totals_.lost_batches += result.lost_batches;
   totals_.stale_batches += result.stale_batches;
-  totals_.frames_sent += result.frames_sent;
-  totals_.corrupt_frames += result.corrupt_frames;
-  totals_.recovered_batches += result.recovered_batches;
-  totals_.quarantined_batches += result.quarantined_batches;
 
   result.watermark_s = watermark_s_;
   if (hooked) record_feed_metrics(result, config_.facility);
   return result;
+}
+
+FeedTotals FacilityFeed::totals() const {
+  FeedTotals totals = totals_;
+  totals.lost_batches = uploader_.stats().batches_lost;
+  const sys::WireUploadStats& wire = uploader_.wire_stats();
+  totals.frames_sent = wire.frames_sent;
+  totals.corrupt_frames = wire.corrupt_frames;
+  totals.recovered_batches = wire.batches_recovered;
+  totals.quarantined_batches = wire.batches_quarantined;
+  return totals;
 }
 
 FeedPassResult FacilityFeed::ingest_pass(TrackingStore& store,

@@ -137,8 +137,10 @@ class FacilityFeed {
 
   const obs::ReliabilityMonitor& monitor() const { return monitor_; }
   obs::ReliabilityMonitor& monitor() { return monitor_; }
-  /// Cumulative tallies across every pass this feed processed.
-  const FeedTotals& totals() const { return totals_; }
+  /// Cumulative tallies across every pass this feed processed. The
+  /// transport fields are the uploader's own cumulative stats, which the
+  /// feed never resets.
+  FeedTotals totals() const;
   /// Event-time low-watermark: max event time fully merged via ingest_pass
   /// (-1 until anything merges). Age is measured against the last pass
   /// window's end (infinite until anything merges).
@@ -161,7 +163,7 @@ class FacilityFeed {
   track::ResilientIngest ingest_;
   obs::ReliabilityMonitor monitor_;
   std::vector<std::size_t> last_degraded_;  ///< Readers silent in last pass.
-  FeedTotals totals_;
+  FeedTotals totals_;  ///< The tallies totals() does not take from uploader_.
   double watermark_s_ = -1.0;
   double last_window_end_s_ = 0.0;
 };

@@ -135,7 +135,6 @@ void TrackingStore::ingest(const FacilityBatch& batch) {
 void TrackingStore::ingest(std::span<const FacilityBatch> batches) {
   const obs::prof::ScopedPhase ingest_phase(obs::prof::Phase::kStoreIngest);
   const std::size_t shard_count = config_.shard_count;
-  const sweep::SweepOptions options{config_.threads};
   const StoreStats before = stats_;
 
   // Phase 1 — route: batch b groups its events by shard with a stable
@@ -156,7 +155,7 @@ void TrackingStore::ingest(std::span<const FacilityBatch> batches) {
   // wall-clock spans and the call counts stay thread-count-independent.
   std::optional<obs::prof::ScopedPhase> phase;
   phase.emplace(obs::prof::Phase::kStoreRoute);
-  sweep::parallel_for(batches.size(), options, [&](std::size_t b) {
+  sweep::parallel_for(batches.size(), config_.threads, [&](std::size_t b) {
     const FacilityBatch& batch = batches[b];
     RoutedBatch& rb = routed[b];
     const std::size_t n = batch.events.size();
@@ -192,7 +191,7 @@ void TrackingStore::ingest(std::span<const FacilityBatch> batches) {
   // order. Cell s touches only shards_[s]; no two cells share a timeline,
   // so the parallel merge is race-free and order-deterministic.
   phase.emplace(obs::prof::Phase::kStoreMerge);
-  sweep::parallel_for(shard_count, options, [&](std::size_t s) {
+  sweep::parallel_for(shard_count, config_.threads, [&](std::size_t s) {
     Shard& shard = shards_[s];
     std::size_t n = 0;
     for (const RoutedBatch& rb : routed) n += rb.offsets[s + 1] - rb.offsets[s];

@@ -89,7 +89,7 @@ struct StoreConfig {
   /// state and digest are independent of the count.
   std::size_t shard_count = 64;
   /// Worker threads for bulk ingest and for encoding checkpoint shards: 0
-  /// borrows the shared sweep engine, 1 forces the serial path. Results,
+  /// means hardware concurrency, 1 forces the serial path. Results,
   /// checkpoint bytes included, are identical either way.
   std::size_t threads = 1;
 };

@@ -22,7 +22,7 @@ RepeatedRuns run_repeated_parallel(const Scenario& scenario, std::size_t repetit
   // reuse cannot change a bit — it only keeps the cache warm.
   std::vector<std::unique_ptr<sys::PortalSimulator>> sims;
   sweep::parallel_for(
-      repetitions, sweep::SweepOptions{.threads = threads},
+      repetitions, threads,
       [&](std::size_t lanes) { sims.resize(lanes); },
       [&](std::size_t rep, std::size_t lane) {
         if (!sims[lane]) {

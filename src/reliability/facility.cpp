@@ -32,7 +32,7 @@ FacilityRun FacilitySimulator::run_shipment(std::uint64_t seed, std::size_t thre
   // the identical shipment trace.
   std::vector<std::size_t> case_counts(route_.size(), 0);
   sweep::parallel_for(
-      route_.size(), sweep::SweepOptions{.threads = threads}, [&](std::size_t k) {
+      route_.size(), threads, [&](std::size_t k) {
         ObjectScenarioOptions opt;
         opt.tag_faces = shipment_.tag_faces;
         opt.tag_design = shipment_.tag_design;

@@ -2,7 +2,7 @@
 //
 // Every paper artifact is a Monte Carlo grid — scenarios x repetitions of
 // a simulated pass — and the cells are mutually independent. This engine
-// runs such grids across a thread pool under one hard contract:
+// runs such grids across a team of worker threads under one hard contract:
 //
 //   DETERMINISM CONTRACT: the randomness of cell i is a pure function of
 //   (root seed, i) — see cell_rng — and each cell writes only to its own
@@ -20,17 +20,8 @@
 #include <functional>
 
 #include "common/rng.hpp"
-#include "sweep/thread_pool.hpp"
 
 namespace rfidsim::sweep {
-
-/// Execution knobs of a sweep. Only wall-clock behaviour — never results —
-/// depends on these.
-struct SweepOptions {
-  /// Worker threads; 0 means hardware concurrency, 1 forces the inline
-  /// serial path (no pool involved at all).
-  std::size_t threads = 0;
-};
 
 /// The per-cell generator of a sweep rooted at `seed`: a pure function of
 /// its arguments, independent of scheduling. Identical to the serial
@@ -47,51 +38,40 @@ inline Rng grid_cell_rng(std::uint64_t seed, std::uint64_t scenario,
   return cell_rng(cell_rng(seed, scenario).seed(), repetition);
 }
 
-/// Reusable engine: one thread pool, any number of sweeps.
-class SweepEngine {
- public:
-  explicit SweepEngine(SweepOptions options = {});
+/// Lane id reported by current_lane() on threads that are not sweep
+/// workers (callers, test mains).
+inline constexpr std::size_t kNotALane = static_cast<std::size_t>(-1);
 
-  std::size_t thread_count() const { return pool_ ? pool_->thread_count() : 1; }
+/// The calling thread's lane id: a worker's index in its team, fixed when
+/// the team starts, kNotALane everywhere else. Per-lane metric labels
+/// (sweep.pool.lane_*_seconds{lane="N"}) and profiler sample tags both
+/// key off it, so they name the same thread the same way.
+std::size_t current_lane();
 
-  /// Invokes body(i) for every i in [0, count), spread over the pool.
-  /// `body` must honour the determinism contract (derive randomness from i,
-  /// write only slot i); it must not throw. Blocks until all cells finish.
-  void run(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Lane-aware variant: cells are pulled by `lanes = min(threads, count)`
-  /// workers and the body receives the worker's lane index, so callers can
-  /// reuse expensive per-worker state (e.g. one simulator per lane, with
-  /// its warm static-geometry cache). `setup(lanes)` runs once, before any
-  /// cell, on the calling thread. Per the determinism contract, lane state
-  /// may only carry caches/buffers that cannot change results — never
-  /// randomness.
-  void run(std::size_t count, const std::function<void(std::size_t)>& setup,
-           const std::function<void(std::size_t, std::size_t)>& body);
-
- private:
-  std::unique_ptr<ThreadPool> pool_;  ///< Null for the single-thread engine.
-};
-
-/// The process-wide engine at hardware concurrency — parallel_for's engine
-/// for threads == 0.
-SweepEngine& shared_engine();
-
-/// Runs body over [0, count) on the process-wide engine of
-/// `options.threads` workers (0 = hardware concurrency): one engine per
+/// Invokes body(i) for every i in [0, count) on the process-wide worker
+/// team of `threads` workers (0 = hardware concurrency): one team per
 /// worker count, started on first use, reused by every later call and
-/// never torn down, so repeated calls spawn no threads. The 1-thread
-/// engine has no pool: it runs every cell inline on the calling thread, in
-/// index order. Preconditions:
-///  - cells must not call parallel_for: a nested call on a busy engine
-///    waits for the task it is running inside and never returns;
-///  - engines do not survive fork(): a forked child may only call
+/// never torn down, so repeated calls spawn no threads. `body` must
+/// honour the determinism contract (derive randomness from i, write only
+/// slot i); it must not throw. Blocks until every cell has finished; the
+/// calling thread runs no cells, except that 1-thread and 1-cell calls run
+/// every cell inline on it, in index order. Concurrent calls on one team
+/// run one after the other. Preconditions:
+///  - cells must not call parallel_for: a nested call on a busy team
+///    waits for the call it is running inside and never returns;
+///  - teams do not survive fork(): a forked child may only call
 ///    parallel_for with threads == 1.
-void parallel_for(std::size_t count, const SweepOptions& options,
+void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 
-/// Lane-aware one-shot (see SweepEngine::run): body(cell, lane).
-void parallel_for(std::size_t count, const SweepOptions& options,
+/// Lane-aware variant: cells are pulled by `lanes = min(threads, count)`
+/// workers and the body receives the worker's lane index, so callers can
+/// reuse expensive per-worker state (e.g. one simulator per lane, with
+/// its warm static-geometry cache). `setup(lanes)` runs once, before any
+/// cell, on the calling thread. Per the determinism contract, lane state
+/// may only carry caches/buffers that cannot change results — never
+/// randomness.
+void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& setup,
                   const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -174,6 +174,40 @@ TEST(FeedWireTest, EachTransportOutcomeIsCountedOnce) {
   EXPECT_EQ(nak_giveups.value(), giveups_before + d * result.quarantined_batches);
 }
 
+TEST(FeedWireTest, TotalsEqualTheSumOfPassResults) {
+  // totals() reads its transport fields from the uploader's cumulative
+  // stats; they must equal the per-pass deltas summed over every pass.
+  FeedConfig config = feed_config(2, 8);
+  config.uploader.batch_size = 4;
+  config.uploader.max_retries = 0;
+  config.uploader.loss_probability = 0.2;
+  config.uploader.max_nak_retransmits = 1;
+  config.wire_corruption.bit_error_rate = 2e-3;
+  FacilityFeed feed(config);
+  TrackingStore store;
+  Rng rng(11);
+  FeedTotals sum;
+  for (std::size_t pass = 0; pass < 6; ++pass) {
+    const double begin = 20.0 * static_cast<double>(pass);
+    const FeedPassResult r = feed.ingest_pass(
+        store, full_pass({1, 2, 3, 4, 5, 6, 7, 8}, 2, begin), begin, begin + 10.0, rng);
+    sum.lost_batches += r.lost_batches;
+    sum.frames_sent += r.frames_sent;
+    sum.corrupt_frames += r.corrupt_frames;
+    sum.recovered_batches += r.recovered_batches;
+    sum.quarantined_batches += r.quarantined_batches;
+  }
+  const FeedTotals totals = feed.totals();
+  ASSERT_GT(sum.lost_batches, 0u);
+  ASSERT_GT(sum.quarantined_batches, 0u);
+  EXPECT_EQ(totals.passes, 6u);
+  EXPECT_EQ(totals.lost_batches, sum.lost_batches);
+  EXPECT_EQ(totals.frames_sent, sum.frames_sent);
+  EXPECT_EQ(totals.corrupt_frames, sum.corrupt_frames);
+  EXPECT_EQ(totals.recovered_batches, sum.recovered_batches);
+  EXPECT_EQ(totals.quarantined_batches, sum.quarantined_batches);
+}
+
 TEST(FeedWireTest, StaleBatchesAreAlertedButStillStored) {
   FeedConfig config = feed_config(1, 2);
   config.uploader.batch_size = 4;

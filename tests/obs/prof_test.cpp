@@ -4,7 +4,7 @@
 // accounting, call-count determinism across store thread counts, folded
 // aggregation of fabricated samples, live SIGPROF sampling under load
 // (Linux, non-TSan builds), a forked crash-style stress of the handler,
-// lane-id stability in sweep::ThreadPool, and the compiled-out degenerate
+// lane-id stability in the sweep workers, and the compiled-out degenerate
 // behaviour (this whole file also runs under -DRFIDSIM_OBS=OFF).
 #include "obs/attribution.hpp"
 #include "obs/prof.hpp"
@@ -27,7 +27,7 @@
 #include "fleet/service.hpp"
 #include "fleet/store.hpp"
 #include "obs/metrics.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/sweep.hpp"
 #include "track/manifest.hpp"
 #include "track/registry.hpp"
 
@@ -363,34 +363,28 @@ TEST(ProfFoldTest, HandlerFramesAreStrippedOnlyWhenDeeper) {
 }
 
 TEST(ProfLaneTest, PoolWorkersReportStableLaneIds) {
-  EXPECT_EQ(sweep::ThreadPool::current_lane(), sweep::ThreadPool::kNotALane);
+  EXPECT_EQ(sweep::current_lane(), sweep::kNotALane);
   std::mutex mutex;
   std::vector<std::size_t> seen;
   const auto collect = [&] {
-    sweep::ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&] {
-        std::lock_guard lock(mutex);
-        seen.push_back(sweep::ThreadPool::current_lane());
-      });
-    }
-    pool.wait_idle();
+    sweep::parallel_for(
+        64, 4, [](std::size_t) {},
+        [&](std::size_t, std::size_t lane) {
+          const std::size_t own = sweep::current_lane();
+          EXPECT_EQ(own, lane);  // A cell's lane is its worker's lane id.
+          std::lock_guard lock(mutex);
+          seen.push_back(own);
+        });
   };
   collect();
-  collect();  // A second pool reuses lane ids 0..3, not 4..7.
+  collect();  // A second call reuses lane ids 0..3, not 4..7.
   ASSERT_EQ(seen.size(), 128u);
   for (const std::size_t lane : seen) EXPECT_LT(lane, 4u);
 }
 
 TEST_F(ProfTest, PoolPublishesPerLaneMetrics) {
   obs::set_enabled(true);
-  {
-    sweep::ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([] { spin_for(std::chrono::microseconds(50)); });
-    }
-    pool.wait_idle();
-  }
+  sweep::parallel_for(32, 2, [](std::size_t) { spin_for(std::chrono::microseconds(50)); });
   const std::string exposition = obs::registry().exposition();
   if (kCompiledOut) {
     EXPECT_EQ(exposition.find("lane_busy_seconds"), std::string::npos);
@@ -460,12 +454,9 @@ TEST_F(ProfTest, PoolWorkersCarryLaneIdsInSamples) {
   clear_profile();
   ProfilerConfig config;
   config.interval_usec = 500;
-  sweep::ThreadPool pool(2);  // Workers register before start(): arm path.
+  sweep::parallel_for(2, 2, [](std::size_t) {});  // Workers register before start(): arm path.
   ASSERT_TRUE(start(config));
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([] { burn_thread_cpu(std::chrono::milliseconds(10)); });
-  }
-  pool.wait_idle();
+  sweep::parallel_for(8, 2, [](std::size_t) { burn_thread_cpu(std::chrono::milliseconds(10)); });
   stop();
   bool saw_lane = false;
   for (const Sample& sample : samples_snapshot()) {

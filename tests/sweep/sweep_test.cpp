@@ -1,4 +1,4 @@
-// Unit and determinism tests for rfidsim::sweep — the thread pool, the
+// Unit and determinism tests for rfidsim::sweep — the worker teams, the
 // per-cell RNG derivation, and parallel_for's contract that thread count
 // can change wall-clock only, never results.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
-#include "sweep/thread_pool.hpp"
 
 namespace rfidsim::sweep {
 namespace {
@@ -27,46 +26,6 @@ constexpr bool kCompiledOut = true;
 #else
 constexpr bool kCompiledOut = false;
 #endif
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  pool.wait_idle();
-}
-
-TEST(ThreadPoolTest, SurvivesMultipleBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 40; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 40 * (batch + 1));
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 64);
-}
 
 TEST(CellRngTest, IsAPureFunctionOfSeedAndCell) {
   for (const std::uint64_t seed : {0ull, 1ull, 20070625ull}) {
@@ -115,7 +74,7 @@ TEST(CellRngTest, GridCellRngNestsTwoForkLevels) {
 TEST(ParallelForTest, EveryCellRunsExactlyOnce) {
   constexpr std::size_t kCells = 137;
   std::vector<std::atomic<int>> hits(kCells);
-  parallel_for(kCells, SweepOptions{.threads = 4}, [&](std::size_t i) {
+  parallel_for(kCells, 4, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < kCells; ++i) {
@@ -129,7 +88,7 @@ TEST(ParallelForTest, ResultsIndependentOfThreadCount) {
   constexpr std::size_t kCells = 64;
   auto run_with = [&](std::size_t threads) {
     std::vector<std::uint64_t> out(kCells);
-    parallel_for(kCells, SweepOptions{.threads = threads}, [&](std::size_t i) {
+    parallel_for(kCells, threads, [&](std::size_t i) {
       Rng rng = cell_rng(20070625, i);
       std::uint64_t acc = 0;
       for (int d = 0; d < 100; ++d) acc ^= rng.next_u64();
@@ -141,14 +100,14 @@ TEST(ParallelForTest, ResultsIndependentOfThreadCount) {
   EXPECT_EQ(serial, run_with(2));
   EXPECT_EQ(serial, run_with(3));
   EXPECT_EQ(serial, run_with(8));
-  EXPECT_EQ(serial, run_with(0));  // Shared engine, hardware concurrency.
+  EXPECT_EQ(serial, run_with(0));  // Hardware concurrency.
 }
 
 TEST(ParallelForTest, ZeroAndOneCellsAreHandled) {
   int calls = 0;
-  parallel_for(0, SweepOptions{.threads = 4}, [&](std::size_t) { ++calls; });
+  parallel_for(0, 4, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(1, SweepOptions{.threads = 4}, [&](std::size_t i) {
+  parallel_for(1, 4, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
     ++calls;
   });
@@ -162,7 +121,7 @@ TEST(ParallelForTest, LaneAwareSetupAndLaneBounds) {
   std::vector<int> hits(kCells, 0);
   std::set<std::size_t> lanes_used;
   parallel_for(
-      kCells, SweepOptions{.threads = 4},
+      kCells, 4,
       [&](std::size_t lanes) { lanes_seen = lanes; },
       [&](std::size_t cell, std::size_t lane) {
         std::lock_guard<std::mutex> lock(mu);
@@ -180,7 +139,7 @@ TEST(ParallelForTest, LaneAwareSetupAndLaneBounds) {
 
 TEST(ParallelForTest, LaneCountNeverExceedsCellCount) {
   parallel_for(
-      2, SweepOptions{.threads = 16},
+      2, 16,
       [&](std::size_t lanes) { EXPECT_LE(lanes, 2u); },
       [](std::size_t, std::size_t) {});
 }
@@ -196,7 +155,7 @@ TEST(ParallelForTest, RepeatedCallsReuseOneSetOfWorkers) {
   obs::set_trace_enabled(true);
   obs::clear_trace();
   for (int call = 0; call < 200; ++call) {
-    parallel_for(4, SweepOptions{.threads = 2}, [](std::size_t) {
+    parallel_for(4, 2, [](std::size_t) {
       const obs::prof::ScopedPhase phase(obs::prof::Phase::kPortalSim);
     });
   }
@@ -224,7 +183,7 @@ TEST(ParallelForTest, EveryThreadCountTalliesSweepsAndCells) {
   const auto tally = [&](std::size_t count, std::size_t threads) {
     const std::uint64_t sweeps_before = sweeps.value();
     const std::uint64_t cells_before = cells.value();
-    parallel_for(count, SweepOptions{.threads = threads}, [](std::size_t) {});
+    parallel_for(count, threads, [](std::size_t) {});
     return std::pair{sweeps.value() - sweeps_before, cells.value() - cells_before};
   };
   for (const std::size_t count : {1u, 5u}) {
@@ -237,28 +196,78 @@ TEST(ParallelForTest, EveryThreadCountTalliesSweepsAndCells) {
   obs::set_enabled(saved);
 }
 
+TEST(ParallelForTest, ConcurrentCallersEachRunEveryCellOnce) {
+  // Callers on one team run one after the other, so each call's cells run
+  // on lanes below its own setup value, however the callers interleave.
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 1000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, &failures] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        const std::size_t threads = 2 + static_cast<std::size_t>(call + c) % 3;
+        const std::size_t count = 1 + static_cast<std::size_t>(call * 7 + c) % 9;
+        std::size_t lanes = 0;
+        std::vector<std::atomic<int>> hits(count);
+        std::atomic<int> bad_lanes{0};
+        parallel_for(
+            count, threads, [&](std::size_t n) { lanes = n; },
+            [&](std::size_t cell, std::size_t lane) {
+              if (lane >= lanes) bad_lanes.fetch_add(1, std::memory_order_relaxed);
+              hits[cell].fetch_add(1, std::memory_order_relaxed);
+            });
+        bool ok = bad_lanes.load() == 0 && lanes == std::min(threads, count);
+        for (const std::atomic<int>& h : hits) ok = ok && h.load() == 1;
+        if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(SweepEngineTest, SingleThreadEngineHasNoPool) {
-  SweepEngine engine(SweepOptions{.threads = 1});
-  EXPECT_EQ(engine.thread_count(), 1u);
+  // A 1-thread call is the serial loop: every cell inline on the calling
+  // thread, in index order, on no lane.
   std::vector<std::size_t> order;
-  engine.run(5, [&](std::size_t i) { order.push_back(i); });
-  // The inline path runs cells in index order on the calling thread.
+  std::size_t lanes = 0;
+  parallel_for(
+      5, 1, [&](std::size_t n) { lanes = n; },
+      [&](std::size_t i, std::size_t lane) {
+        EXPECT_EQ(lane, 0u);
+        EXPECT_EQ(current_lane(), kNotALane);
+        order.push_back(i);
+      });
+  EXPECT_EQ(lanes, 1u);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SweepEngineTest, EngineIsReusableAcrossSweeps) {
-  SweepEngine engine(SweepOptions{.threads = 3});
+  std::mutex mu;
+  std::set<std::thread::id> workers;
   for (int sweep = 0; sweep < 4; ++sweep) {
     std::atomic<std::size_t> sum{0};
-    engine.run(100, [&](std::size_t i) { sum.fetch_add(i, std::memory_order_relaxed); });
+    parallel_for(100, 3, [&](std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+      const std::lock_guard lock(mu);
+      workers.insert(std::this_thread::get_id());
+    });
     EXPECT_EQ(sum.load(), 4950u);
   }
+  // Every sweep ran on the same three workers, never on the caller.
+  EXPECT_LE(workers.size(), 3u);
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(SweepEngineTest, SharedEngineUsesHardwareConcurrency) {
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  EXPECT_EQ(shared_engine().thread_count(), hw);
-  EXPECT_EQ(&shared_engine(), &shared_engine());
+  for (const std::size_t count : {1u, 3u, 100u}) {
+    std::size_t lanes = 0;
+    parallel_for(
+        count, 0, [&](std::size_t n) { lanes = n; }, [](std::size_t, std::size_t) {});
+    EXPECT_EQ(lanes, std::min(hw, count)) << count << " cells";
+  }
 }
 
 }  // namespace

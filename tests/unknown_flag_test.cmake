@@ -8,14 +8,17 @@ if(NOT DEFINED BIN)
   message(FATAL_ERROR "unknown_flag_test.cmake: pass -DBIN=<binary>")
 endif()
 
-set(flag --log-dump)  # A retired flag: no bench may accept it again.
-execute_process(
-  COMMAND "${BIN}" ${flag} x
-  OUTPUT_QUIET
-  ERROR_VARIABLE stderr
-  RESULT_VARIABLE rc
-)
-if(NOT rc EQUAL 2 OR NOT stderr MATCHES "bench: unknown flag ${flag}")
-  message(FATAL_ERROR "${BIN} ${flag} x: expected exit 2 and an unknown-flag "
-                      "message, got exit ${rc}\nstderr:\n${stderr}")
-endif()
+# Retired flags: no bench may accept them again. --obs-off duplicated
+# RFIDSIM_OBS=off.
+foreach(flag --log-dump --obs-off)
+  execute_process(
+    COMMAND "${BIN}" ${flag} x
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr
+    RESULT_VARIABLE rc
+  )
+  if(NOT rc EQUAL 2 OR NOT stderr MATCHES "bench: unknown flag ${flag}")
+    message(FATAL_ERROR "${BIN} ${flag} x: expected exit 2 and an unknown-flag "
+                        "message, got exit ${rc}\nstderr:\n${stderr}")
+  endif()
+endforeach()
