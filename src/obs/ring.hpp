@@ -138,7 +138,7 @@ struct ThreadRegistry {
 };
 
 inline ThreadRegistry& thread_registry() {
-  // Never destroyed: signal handlers and parked pool workers may outlive
+  // Never destroyed: signal handlers and parked sweep workers may outlive
   // static teardown.
   static ThreadRegistry* registry = new ThreadRegistry;
   return *registry;

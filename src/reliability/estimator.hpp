@@ -27,7 +27,7 @@ struct RepeatedRuns {
 /// Runs the scenario `repetitions` times on the rfidsim::sweep engine.
 /// Repetition i's generator is sweep::cell_rng(seed, i) == Rng(seed).fork(i),
 /// a pure function of (seed, i), so results are byte-identical for every
-/// `threads`: 0 uses the shared hardware-concurrency pool, and 1 runs every
+/// `threads`: 0 uses the hardware-concurrency team, and 1 runs every
 /// repetition inline on the calling thread in index order — the serial
 /// reference the differential tests compare against. `single_round`
 /// selects the paper's "single read" mode (one inventory round at t = 0,

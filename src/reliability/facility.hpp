@@ -58,7 +58,7 @@ class FacilitySimulator {
                     CalibrationProfile calibration);
 
   /// Runs one shipment end to end, checkpoints spread across the sweep
-  /// engine (`threads` = 0 uses the shared pool, 1 forces serial).
+  /// engine (`threads` = 0 uses hardware concurrency, 1 forces serial).
   /// Deterministic per seed: each checkpoint's randomness is a pure
   /// function of (seed, checkpoint index), so the result is byte-identical
   /// at any thread count.
