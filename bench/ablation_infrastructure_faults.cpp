@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
       sys::EventUploader uploader(ucfg);
       Rng up_rng = rng.fork(label++);
       sys::EventLog got;
-      for (const sys::DeliveredBatch& batch :
+      for (const wire::EventBatch& batch :
            uploader.upload_wire(clean, obs::kNoFacility, up_rng, nullptr)) {
         got.insert(got.end(), batch.events.begin(), batch.events.end());
       }

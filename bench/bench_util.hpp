@@ -131,11 +131,9 @@ inline bool write_json(const std::string& path, int pr,
 /// Flags (all optional):
 ///   --metrics-dump <path>  Prometheus text exposition of the obs registry.
 ///   --trace-dump <path>    Chrome trace_event JSON (enables span tracing).
-///   --provenance-dump <path>  JSON-lines per-batch provenance records
-///                          (obs::provenance_log()).
 ///   --flight-dump <path>   Flight-recorder dump (JSON lines: the tail of
-///                          the provenance log), written atomically at end
-///                          of run.
+///                          the per-batch provenance log), written
+///                          atomically at end of run.
 ///   --profile-dump <path>  Folded-stack sampling-profiler dump
 ///                          (flamegraph.pl input). Starts the SIGPROF
 ///                          sampler for the whole run; Linux-only (the
@@ -183,8 +181,6 @@ class Session {
       } else if (arg == "--trace-dump") {
         take_value(trace_path_);
         obs::set_trace_enabled(true);
-      } else if (arg == "--provenance-dump") {
-        take_value(provenance_path_);
       } else if (arg == "--flight-dump") {
         take_value(flight_path_);
       } else if (arg == "--profile-dump") {
@@ -225,14 +221,6 @@ class Session {
       std::ofstream out(trace_path_);
       obs::write_chrome_trace(out);
       std::printf("wrote Chrome trace to %s\n", trace_path_.c_str());
-    }
-    if (!provenance_path_.empty()) {
-      std::ofstream out(provenance_path_);
-      obs::provenance_log().write_jsonl(out);
-      std::printf("wrote provenance log to %s (%llu records, %llu ring-dropped)\n",
-                  provenance_path_.c_str(),
-                  static_cast<unsigned long long>(obs::provenance_log().recorded()),
-                  static_cast<unsigned long long>(obs::provenance_log().dropped()));
     }
     if (profiling_) {
       obs::prof::stop();
@@ -305,7 +293,6 @@ class Session {
   std::uint64_t seed_ = kSeed;
   std::string metrics_path_;
   std::string trace_path_;
-  std::string provenance_path_;
   std::string flight_path_;
   std::string profile_path_;
   std::string attribution_path_;

@@ -391,22 +391,13 @@ int main(int argc, char** argv) {
 
   // --- Wire codec throughput: facility 0's whole stream, framed. ---
   {
-    std::vector<wire::EventBatch> wire_batches;
+    std::vector<std::vector<std::uint8_t>> frames;
     std::size_t wire_events = 0;
-    for (const fleet::FacilityBatch& b : batches) {
-      if (b.facility != 0) continue;
-      wire::EventBatch wb;
-      wb.facility = b.facility;
-      wb.sent_time_s = b.sent_time_s;
-      wb.arrival_time_s = b.arrival_time_s;
-      wb.events = b.events;
-      wire_events += b.events.size();
-      wire_batches.push_back(std::move(wb));
-    }
-    std::vector<std::vector<std::uint8_t>> frames(wire_batches.size());
     const double encode_s = wall_seconds([&] {
-      for (std::size_t i = 0; i < wire_batches.size(); ++i) {
-        frames[i] = wire::encode_event_batch_frame(wire_batches[i]);
+      for (const fleet::FacilityBatch& b : batches) {
+        if (b.facility != 0) continue;
+        wire_events += b.events.size();
+        frames.push_back(wire::encode_event_batch_frame(b));
       }
     });
     std::size_t framed_bytes = 0;

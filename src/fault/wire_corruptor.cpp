@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -30,17 +29,10 @@ WireCorruptor::WireCorruptor(WireCorruptorConfig config) : config_(config) {
           "WireCorruptor: burst_probability must be in [0, 1]");
   require(config_.truncate_probability >= 0.0 && config_.truncate_probability <= 1.0,
           "WireCorruptor: truncate_probability must be in [0, 1]");
-  require(config_.duplicate_probability >= 0.0 &&
-              config_.duplicate_probability <= 1.0,
-          "WireCorruptor: duplicate_probability must be in [0, 1]");
-  require(config_.reorder_probability >= 0.0 && config_.reorder_probability <= 1.0,
-          "WireCorruptor: reorder_probability must be in [0, 1]");
   require(config_.burst_max_bytes > 0,
           "WireCorruptor: burst_max_bytes must be positive");
   identity_ = config_.bit_error_rate == 0.0 && config_.burst_probability == 0.0 &&
-              config_.truncate_probability == 0.0 &&
-              config_.duplicate_probability == 0.0 &&
-              config_.reorder_probability == 0.0;
+              config_.truncate_probability == 0.0;
 }
 
 bool WireCorruptor::corrupt_frame(std::vector<std::uint8_t>& frame, Rng& rng) {
@@ -94,37 +86,6 @@ bool WireCorruptor::corrupt_frame(std::vector<std::uint8_t>& frame, Rng& rng) {
 
   if (damaged) ++stats_.frames_damaged;
   return damaged;
-}
-
-std::vector<std::vector<std::uint8_t>> WireCorruptor::corrupt_stream(
-    std::vector<std::vector<std::uint8_t>> frames, Rng& rng) {
-  if (identity_) {
-    stats_.frames += frames.size();
-    return frames;
-  }
-  // Stream-level damage first (on intact frames, as middleware would see
-  // them), then per-frame byte damage on the final sequence.
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(frames.size() + 4);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    out.push_back(std::move(frames[i]));
-    if (config_.duplicate_probability > 0.0 &&
-        rng.bernoulli(config_.duplicate_probability)) {
-      out.push_back(out.back());
-      ++stats_.duplicated;
-    }
-  }
-  if (config_.reorder_probability > 0.0) {
-    for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-      if (rng.bernoulli(config_.reorder_probability)) {
-        std::swap(out[i], out[i + 1]);
-        ++stats_.reordered;
-        ++i;  // A swapped pair is one displacement, not a bubble sort.
-      }
-    }
-  }
-  for (std::vector<std::uint8_t>& frame : out) corrupt_frame(frame, rng);
-  return out;
 }
 
 }  // namespace rfidsim::fault

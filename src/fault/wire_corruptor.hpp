@@ -11,9 +11,7 @@
 //     a megabyte at BER 1e-6 costs a handful of draws, not 8M;
 //   * burst errors (brownouts, connector chatter): a run of consecutive
 //     bytes replaced with noise;
-//   * truncation: the frame loses a uniform tail (torn connection);
-//   * duplication and adjacent reordering of whole frames (retry after a
-//     lost ack, multi-queue middleware) — stream-level, frame-preserving.
+//   * truncation: the frame loses a uniform tail (torn connection).
 //
 // Deterministic given the Rng state, and — load-bearing for callers'
 // digest contracts — a default-constructed (all-zero) config is a strict
@@ -37,10 +35,6 @@ struct WireCorruptorConfig {
   std::size_t burst_max_bytes = 8;
   /// Probability a frame loses a uniform-length tail (at least one byte).
   double truncate_probability = 0.0;
-  /// Stream level: probability a frame is delivered twice.
-  double duplicate_probability = 0.0;
-  /// Stream level: probability a frame swaps with its successor.
-  double reorder_probability = 0.0;
 };
 
 /// What the corruptor actually did — ground truth for calibrating the
@@ -51,8 +45,6 @@ struct WireCorruptionStats {
   std::size_t bits_flipped = 0;
   std::size_t bursts = 0;
   std::size_t truncated = 0;
-  std::size_t duplicated = 0;
-  std::size_t reordered = 0;
 };
 
 class WireCorruptor {
@@ -60,18 +52,12 @@ class WireCorruptor {
   explicit WireCorruptor(WireCorruptorConfig config = {});
 
   /// True when the config can never damage anything (all rates zero); in
-  /// that case neither entry point touches `rng`.
+  /// that case corrupt_frame() never touches `rng`.
   bool identity() const { return identity_; }
 
   /// Damages one frame's bytes in place (flips, burst, truncation).
   /// Returns true if the frame was altered.
   bool corrupt_frame(std::vector<std::uint8_t>& frame, Rng& rng);
-
-  /// Stream-level pass: duplicates/reorders whole frames, then damages
-  /// each frame's bytes. Frames keep their boundaries (framing is the
-  /// receiver's problem — that is the point).
-  std::vector<std::vector<std::uint8_t>> corrupt_stream(
-      std::vector<std::vector<std::uint8_t>> frames, Rng& rng);
 
   const WireCorruptionStats& stats() const { return stats_; }
   void reset() { stats_ = WireCorruptionStats{}; }

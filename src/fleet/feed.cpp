@@ -112,7 +112,7 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   FeedPassResult result;
   const std::size_t batches_before = uploader_.stats().batches_lost;
   const sys::WireUploadStats wire_before = uploader_.wire_stats();
-  std::vector<sys::DeliveredBatch> delivered =
+  std::vector<FacilityBatch> delivered =
       uploader_.upload_wire(raw, config_.facility, rng, &corruptor_);
   result.lost_batches = uploader_.stats().batches_lost - batches_before;
   const sys::WireUploadStats& wire_after = uploader_.wire_stats();
@@ -125,18 +125,15 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   result.quarantined_batches = static_cast<std::size_t>(
       wire_after.batches_quarantined - wire_before.batches_quarantined);
 
-  // Per-batch validation: the same record rules ingest() applies, so the
-  // store only ever sees plausible sightings. On-time batches additionally
-  // feed the pass-level union below, which therefore skips validation.
+  // Per-batch validation, in place: the same record rules ingest()
+  // applies, so the store only ever sees plausible sightings. On-time
+  // batches additionally feed the pass-level union below, which therefore
+  // skips validation.
   sys::EventLog on_time;
   const bool hooked = obs::hooks_enabled();
-  for (sys::DeliveredBatch& db : delivered) {
-    FacilityBatch batch;
+  for (FacilityBatch& batch : delivered) {
+    // The link names the facility, not the payload.
     batch.facility = config_.facility;
-    batch.sent_time_s = db.sent_time_s;
-    batch.arrival_time_s = db.arrival_time_s;
-    batch.batch_id = db.batch_id;
-    batch.events = std::move(db.events);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.events.size(); ++i) {
       const sys::ReadEvent& ev = batch.events[i];

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "scene/tag.hpp"
-#include "system/events.hpp"
+#include "wire/batch_codec.hpp"
 
 namespace rfidsim::fleet {
 
@@ -69,20 +69,10 @@ inline constexpr std::size_t kMaxSightingIndex = 0xFFFF;
 /// keep one canonical order regardless of arrival order.
 bool sighting_less(const Sighting& a, const Sighting& b);
 
-/// One validated batch from one facility feed, as delivered by the upload
-/// hop. `sent_time_s` is the reader's flush time; `arrival_time_s` is when
-/// the backend actually received it (flush plus retry backoff) — a batch
-/// with arrival_time_s > sent_time_s was delayed in transit.
-struct FacilityBatch {
-  FacilityId facility = 0;
-  double sent_time_s = 0.0;
-  double arrival_time_s = 0.0;
-  sys::EventLog events;
-  /// Provenance id carried from sys::DeliveredBatch (0 = none). Plumbing
-  /// only: ids never enter timelines or digest() — stored truth stays a
-  /// pure function of the sighting multiset.
-  std::uint64_t batch_id = 0;
-};
+/// One validated batch from one facility feed: the batch the upload hop
+/// delivered, validated in place. Its batch_id never enters timelines or
+/// digest() — stored truth stays a pure function of the sighting multiset.
+using FacilityBatch = wire::EventBatch;
 
 struct StoreConfig {
   /// Timeline shards. More shards = finer ingest parallelism; the stored

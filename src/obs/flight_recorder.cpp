@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <ostream>
 
@@ -41,13 +42,14 @@ std::size_t put_u64(char* buf, std::size_t cap, std::size_t at, std::uint64_t v)
   return at;
 }
 
-/// Seconds with fixed six decimals (micro resolution), sign included.
+/// Seconds with fixed six decimals (micro resolution), sign included;
+/// `null` when the time is not finite or its microseconds do not fit a
+/// u64 (converting such a value to an integer is undefined).
 std::size_t put_seconds(char* buf, std::size_t cap, std::size_t at, double t) {
-  if (t < 0) {
-    at = put_str(buf, cap, at, "-");
-    t = -t;
-  }
-  const auto micros = static_cast<std::uint64_t>(t * 1e6 + 0.5);
+  const double rounded_micros = std::fabs(t) * 1e6 + 0.5;
+  if (!(rounded_micros < 0x1p64)) return put_str(buf, cap, at, "null");
+  if (t < 0) at = put_str(buf, cap, at, "-");
+  const auto micros = static_cast<std::uint64_t>(rounded_micros);
   at = put_u64(buf, cap, at, micros / 1000000);
   at = put_str(buf, cap, at, ".");
   char frac[6];

@@ -1,8 +1,5 @@
 #include "obs/provenance.hpp"
 
-#include <cstdio>
-#include <ostream>
-
 #include "common/hash.hpp"
 
 namespace rfidsim::obs {
@@ -66,21 +63,6 @@ std::vector<ProvenanceRecord> ProvenanceLog::history(std::uint64_t batch_id) con
 std::uint64_t ProvenanceLog::recorded() const { return ring_.written(); }
 
 std::uint64_t ProvenanceLog::dropped() const { return ring_.dropped(); }
-
-void ProvenanceLog::write_jsonl(std::ostream& out) const {
-  char line[64];
-  for (const ProvenanceRecord& rec : snapshot()) {
-    out << "{\"batch_id\":" << rec.batch_id << ",\"hop\":\""
-        << batch_hop_name(rec.hop) << "\",\"facility\":";
-    if (rec.facility == kNoFacility) {
-      out << -1;
-    } else {
-      out << rec.facility;
-    }
-    std::snprintf(line, sizeof line, "%.6f", rec.time_s);
-    out << ",\"value\":" << rec.value << ",\"t_s\":" << line << "}\n";
-  }
-}
 
 void ProvenanceLog::clear() { ring_.clear(); }
 

@@ -19,14 +19,14 @@
 //     records on wrap; overwrites are tallied, never silent (dropped(),
 //     mirrored to the obs.provenance.dropped_records counter).
 //
-// Export: JSONL (one record per line, schema in EXPERIMENTS.md). The crash
-// flight recorder dumps the tail of the process-wide log's ring, so a
-// post-mortem dump carries the provenance stream next to the checkpoint.
+// Export: the flight dump (obs/flight_recorder.hpp; JSONL, schema in
+// EXPERIMENTS.md) is the one writer. It dumps the tail of the process-wide
+// log's ring on demand and from the crash handler, so a post-mortem dump
+// carries the provenance stream next to the checkpoint.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -94,9 +94,6 @@ class ProvenanceLog {
 
   std::uint64_t recorded() const;  ///< Records accepted (monotonic).
   std::uint64_t dropped() const;   ///< Records overwritten by ring wrap.
-
-  /// One JSON object per line (schema in EXPERIMENTS.md).
-  void write_jsonl(std::ostream& out) const;
 
   /// Discards all records and zeroes the drop tally.
   void clear();

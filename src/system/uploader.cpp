@@ -80,7 +80,7 @@ EventUploader::EventUploader(UploaderConfig config) : config_(config) {
           "EventUploader: jitter fraction must be in [0, 1]");
 }
 
-std::vector<DeliveredBatch> EventUploader::upload_wire(
+std::vector<wire::EventBatch> EventUploader::upload_wire(
     const EventLog& log, std::uint32_t facility, Rng& rng,
     fault::WireCorruptor* corruptor) {
   const obs::prof::ScopedPhase phase(obs::prof::Phase::kUploadWire);
@@ -89,7 +89,7 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
   std::size_t attempts_ok = 0, attempts_lost = 0;
   std::size_t giveups_retry = 0, giveups_nak = 0;
   const bool channel_dirty = corruptor != nullptr && !corruptor->identity();
-  std::vector<DeliveredBatch> delivered;
+  std::vector<wire::EventBatch> delivered;
   // The channel is serial: a batch cannot depart while the previous one is
   // still retrying, so backoff pushes every later batch's arrival back too.
   double channel_free_s = -std::numeric_limits<double>::infinity();
@@ -211,19 +211,15 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
       if (wire_ok) {
         const double departure_s = std::max(channel_free_s, sent_s);
         channel_free_s = departure_s + waited_s;
-        DeliveredBatch batch;
-        batch.sent_time_s = received.sent_time_s;
-        batch.arrival_time_s = channel_free_s;
-        batch.nak_retransmits = naks;
-        batch.batch_id = batch_id;
-        batch.events = std::move(received.events);
-        stats_.events_delivered += batch.events.size();
+        received.arrival_time_s = channel_free_s;
+        received.batch_id = batch_id;
+        stats_.events_delivered += received.events.size();
         if (obs::hooks_enabled()) {
           obs::provenance_log().record({batch_id, obs::BatchHop::kDelivered,
-                                        facility, batch.events.size(),
+                                        facility, received.events.size(),
                                         channel_free_s});
         }
-        delivered.push_back(std::move(batch));
+        delivered.push_back(std::move(received));
         continue;
       }
     }

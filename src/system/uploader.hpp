@@ -29,7 +29,7 @@
 #include "common/rng.hpp"
 #include "fault/wire_corruptor.hpp"
 #include "system/events.hpp"
-#include "wire/wire.hpp"
+#include "wire/batch_codec.hpp"
 
 namespace rfidsim::sys {
 
@@ -55,27 +55,6 @@ struct UploaderConfig {
   /// Retransmissions after a NAK (corrupt frame detected by the
   /// receiver) before the batch is quarantined.
   std::size_t max_nak_retransmits = 6;
-};
-
-/// One batch as the backend received it. `sent_time_s` is the reader's
-/// flush time (the batch's last event time); `arrival_time_s` is when the
-/// backend actually got it: the flush time, any head-of-line wait behind
-/// the previous batch still retrying on the serial channel, plus this
-/// batch's own retry backoff. Transmission itself is modelled as instant —
-/// only backoff consumes channel time.
-struct DeliveredBatch {
-  EventLog events;
-  double sent_time_s = 0.0;
-  double arrival_time_s = 0.0;
-  /// NAK retransmissions this batch needed (0 = clean first try; > 0 =
-  /// recovered from detected corruption).
-  std::size_t nak_retransmits = 0;
-  /// Deterministic provenance id (obs::provenance_batch_id over the
-  /// facility and this uploader's batch sequence), minted whether or not
-  /// obs records anything — downstream hops key their provenance records
-  /// on it. Never 0 for uploader-produced batches; 0 means "no id"
-  /// (hand-built batches).
-  std::uint64_t batch_id = 0;
 };
 
 /// What the channel did to one log.
@@ -116,17 +95,24 @@ class EventUploader {
   /// (nullptr = clean channel), and strictly decoded; detected corruption
   /// NAKs and retransmits under max_nak_retransmits. Returns what the
   /// backend received, in delivery order (batch order is preserved —
-  /// retries delay, they do not overtake), each batch with its flush time
-  /// and its backend arrival time, so downstream consumers see retry
-  /// backoff as *latency*, not just a stats() tally. Returned events are
-  /// the *decoded* bytes — nothing the receiver could not have seen.
-  /// `facility` keys the batches' provenance ids and hop records
-  /// (obs::kNoFacility when no facility applies). Deterministic given
-  /// `rng`'s state; a clean or identity channel draws from `rng` for the
-  /// link stage only. Stats accumulate across calls until reset().
-  std::vector<DeliveredBatch> upload_wire(const EventLog& log,
-                                          std::uint32_t facility, Rng& rng,
-                                          fault::WireCorruptor* corruptor);
+  /// retries delay, they do not overtake). Each batch is what decoded —
+  /// nothing the receiver could not have seen; its sent_time_s is the
+  /// flush time, the batch's last event time — with two fields stamped:
+  ///   arrival_time_s  the flush time, any head-of-line wait behind the
+  ///                   previous batch still retrying on the serial
+  ///                   channel, plus this batch's own backoff
+  ///                   (transmission is instant), so downstream consumers
+  ///                   see retry backoff as *latency*;
+  ///   batch_id        obs::provenance_batch_id(facility, k) for the k-th
+  ///                   batch this uploader formed, minted whether or not
+  ///                   obs records anything; a lost batch's k is skipped.
+  /// `facility` also keys the hop records (obs::kNoFacility when no
+  /// facility applies). Deterministic given `rng`'s state; a clean or
+  /// identity channel draws from `rng` for the link stage only. Stats
+  /// accumulate across calls until reset().
+  std::vector<wire::EventBatch> upload_wire(const EventLog& log,
+                                            std::uint32_t facility, Rng& rng,
+                                            fault::WireCorruptor* corruptor);
 
   const UploadStats& stats() const { return stats_; }
   const WireUploadStats& wire_stats() const { return wire_stats_; }

@@ -41,15 +41,22 @@
 
 namespace rfidsim::wire {
 
-/// One event batch as it crosses the wire. Mirrors fleet::FacilityBatch
-/// field-for-field (wire sits below fleet in the layering, so the fleet
-/// type cannot appear here; the conversion is trivial and lossless).
+/// One event batch, the one record from the uploader to the store
+/// (fleet::FacilityBatch is this type). `sent_time_s` is the reader's flush
+/// time; `arrival_time_s` is when the backend received it (flush plus retry
+/// backoff) — a batch with arrival_time_s > sent_time_s was delayed in
+/// transit.
 struct EventBatch {
   std::uint32_t facility = 0;
   double sent_time_s = 0.0;
   double arrival_time_s = 0.0;
   sys::EventLog events;
+  /// Provenance id (obs::provenance_batch_id; 0 = none), stamped by the
+  /// uploader. Plumbing only: it is not encoded, operator== ignores it, and
+  /// it never enters the store's timelines or digest.
+  std::uint64_t batch_id = 0;
 
+  /// Compares the encoded fields bit for bit (batch_id is not one).
   friend bool operator==(const EventBatch&, const EventBatch&);
 };
 

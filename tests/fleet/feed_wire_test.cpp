@@ -156,6 +156,9 @@ TEST(FeedWireTest, EachTransportOutcomeIsCountedOnce) {
   obs::set_enabled(saved_enabled);
   ASSERT_GT(result.corrupt_frames, 0u);
   ASSERT_GT(result.quarantined_batches, 0u);
+  // Every forwarded batch names the feed's facility.
+  ASSERT_FALSE(result.batches.empty());
+  for (const FacilityBatch& batch : result.batches) EXPECT_EQ(batch.facility, 7u);
 
   // Families that only re-counted what the feed or the uploader already
   // counts on the same call.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,12 +69,21 @@ std::vector<std::string> dump_records() {
 TEST_F(FlightRecorderTest, RecordsCarrySeqOrderAndPayload) {
   record(1, BatchHop::kEnqueued, 2, 3, 0.5);
   record(4, BatchHop::kMerged);
+  // A time whose microseconds are not a u64 (non-finite, or |t| past
+  // ~1.8e13 s) prints as null; the largest magnitudes that fit still print.
+  const double unrepresentable[] = {std::numeric_limits<double>::quiet_NaN(),
+                                    std::numeric_limits<double>::infinity(),
+                                    -std::numeric_limits<double>::infinity(),
+                                    1e300, -2e13};
+  for (const double t : unrepresentable) record(5, BatchHop::kNak, 1, 2, t);
+  record(6, BatchHop::kDelivered, 1, 2, 1e13);
+  record(7, BatchHop::kDelivered, 1, 2, -1e13);
   const std::vector<std::string> lines = dump_records();
   if (kCompiledOut) {
     EXPECT_TRUE(lines.empty());
     return;
   }
-  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_EQ(lines.size(), 9u);
   EXPECT_EQ(lines[0],
             "{\"seq\":0,\"cat\":\"provenance\",\"event\":\"enqueued\",\"a\":1,"
             "\"b\":2,\"c\":3,\"t_s\":0.500000}");
@@ -81,6 +91,13 @@ TEST_F(FlightRecorderTest, RecordsCarrySeqOrderAndPayload) {
   EXPECT_EQ(lines[1],
             "{\"seq\":1,\"cat\":\"provenance\",\"event\":\"merged\",\"a\":4,"
             "\"b\":0,\"c\":4294967295,\"t_s\":-1.000000}");
+  for (std::size_t i = 2; i < 7; ++i) {
+    EXPECT_EQ(lines[i], "{\"seq\":" + std::to_string(i) +
+                            ",\"cat\":\"provenance\",\"event\":\"nak\",\"a\":5,"
+                            "\"b\":1,\"c\":2,\"t_s\":null}");
+  }
+  EXPECT_NE(lines[7].find(",\"t_s\":10000000000000.000000}"), std::string::npos);
+  EXPECT_NE(lines[8].find(",\"t_s\":-10000000000000.000000}"), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, RingWrapKeepsNewestAndTalliesDrops) {

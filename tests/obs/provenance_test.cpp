@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <set>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -98,25 +96,6 @@ TEST_F(ProvenanceTest, RingWrapKeepsNewestAndTalliesDrops) {
   ASSERT_EQ(kept.size(), 8u);
   EXPECT_EQ(kept.front().value, 3u);  // 0..2 were overwritten.
   EXPECT_EQ(kept.back().value, 10u);
-}
-
-// Golden JSONL schema (one object per line, kNoFacility as -1, fixed
-// six-decimal times) — EXPERIMENTS.md documents exactly this.
-TEST_F(ProvenanceTest, JsonlSchemaGolden) {
-  ProvenanceLog log(8);
-  log.record({7, BatchHop::kLost, 2, 13, 1.25});
-  log.record({8, BatchHop::kCheckpointed, kNoFacility, 5, -1.0});
-  std::ostringstream out;
-  log.write_jsonl(out);
-  if (kCompiledOut) {
-    EXPECT_TRUE(out.str().empty());
-    return;
-  }
-  EXPECT_EQ(out.str(),
-            "{\"batch_id\":7,\"hop\":\"lost\",\"facility\":2,\"value\":13,"
-            "\"t_s\":1.250000}\n"
-            "{\"batch_id\":8,\"hop\":\"checkpointed\",\"facility\":-1,"
-            "\"value\":5,\"t_s\":-1.000000}\n");
 }
 
 TEST_F(ProvenanceTest, DisabledHooksRecordNothing) {

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "fault/wire_corruptor.hpp"
+#include "obs/provenance.hpp"
 
 namespace rfidsim::sys {
 namespace {
@@ -22,7 +23,7 @@ EventLog make_log(std::size_t n) {
 /// Uploads over a clean channel and flattens the delivered batches.
 EventLog upload_clean(EventUploader& up, const EventLog& log, Rng& rng) {
   EventLog delivered;
-  for (const DeliveredBatch& batch : up.upload_wire(log, 0, rng, nullptr)) {
+  for (const wire::EventBatch& batch : up.upload_wire(log, 0, rng, nullptr)) {
     delivered.insert(delivered.end(), batch.events.begin(), batch.events.end());
   }
   return delivered;
@@ -69,13 +70,23 @@ TEST(EventUploaderTest, ExhaustedRetryBudgetDropsWholeBatches) {
   EventUploader up(cfg);
   Rng rng(3);
   const EventLog log = make_log(500);
-  const EventLog got = upload_clean(up, log, rng);
-  EXPECT_LT(got.size(), log.size());
+  const auto batches = up.upload_wire(log, 4, rng, nullptr);
+  std::size_t got = 0;
+  for (const wire::EventBatch& b : batches) {
+    // Loss is batch-granular: every survivor is whole...
+    ASSERT_EQ(b.events.size(), cfg.batch_size);
+    got += b.events.size();
+    // ...and keeps the id of its own formation index (tag i is event i, so
+    // the first tag names it): a lost batch's sequence number is skipped,
+    // never handed to the next batch.
+    const std::uint64_t formed = b.events.front().tag.value / cfg.batch_size;
+    EXPECT_EQ(b.batch_id, obs::provenance_batch_id(4, formed));
+  }
+  EXPECT_LT(got, log.size());
   EXPECT_GT(up.stats().batches_lost, 0u);
+  EXPECT_EQ(batches.size() + up.stats().batches_lost, up.stats().batches);
   EXPECT_EQ(up.stats().events_delivered + up.stats().events_lost, log.size());
-  EXPECT_EQ(got.size(), up.stats().events_delivered);
-  // Loss is batch-granular: delivered count is a multiple of batch size.
-  EXPECT_EQ(got.size() % cfg.batch_size, 0u);
+  EXPECT_EQ(got, up.stats().events_delivered);
 }
 
 TEST(EventUploaderTest, BackoffGrowsExponentially) {
@@ -114,15 +125,20 @@ TEST(EventUploaderTest, LosslessBatchesArriveAtFlushTime) {
   EventUploader up(cfg);
   Rng rng(1);
   const EventLog log = make_log(35);
-  const auto batches = up.upload_wire(log, 0, rng, nullptr);
+  const std::uint32_t facility = 3;
+  const auto batches = up.upload_wire(log, facility, rng, nullptr);
   ASSERT_EQ(batches.size(), 4u);  // 10 + 10 + 10 + 5.
+  EXPECT_EQ(up.wire_stats().nak_retransmits, 0u);
   std::size_t offset = 0;
-  for (const DeliveredBatch& b : batches) {
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    const wire::EventBatch& b = batches[k];
     ASSERT_FALSE(b.events.empty());
+    EXPECT_EQ(b.facility, facility);
+    // The provenance id of the k-th batch this uploader formed.
+    EXPECT_EQ(b.batch_id, obs::provenance_batch_id(facility, k));
     // No loss, no retries: the batch arrives the instant it is flushed.
     EXPECT_DOUBLE_EQ(b.sent_time_s, b.events.back().time_s);
     EXPECT_DOUBLE_EQ(b.arrival_time_s, b.sent_time_s);
-    EXPECT_EQ(b.nak_retransmits, 0u);
     for (const ReadEvent& ev : b.events) {
       EXPECT_EQ(ev.tag, log[offset].tag);
       EXPECT_DOUBLE_EQ(ev.time_s, log[offset].time_s);
@@ -233,21 +249,13 @@ TEST(EventUploaderWireTest, DetectedCorruptionRetransmitsAndRecovers) {
   EXPECT_GT(ws.batches_recovered, 0u);
   EXPECT_EQ(ws.batches_quarantined, 0u);
   EXPECT_EQ(ws.undetected_corruptions, 0u);
-  // Per-batch NAK counts in the delivery record sum to the stats view.
-  std::size_t naks = 0, recovered = 0;
-  for (const DeliveredBatch& batch : got) {
-    naks += batch.nak_retransmits;
-    if (batch.nak_retransmits > 0) ++recovered;
-  }
-  EXPECT_EQ(naks, ws.nak_retransmits);
-  EXPECT_EQ(recovered, ws.batches_recovered);
   // Detected failures are classified: the per-kind tallies cover them all.
   std::uint64_t by_kind = 0;
   for (const std::uint64_t k : ws.corrupt_by_kind) by_kind += k;
   EXPECT_EQ(by_kind, ws.corrupt_frames);
   // Delivered events are the decoded bytes — bit-identical to what was sent.
   std::size_t offset = 0;
-  for (const DeliveredBatch& batch : got) {
+  for (const wire::EventBatch& batch : got) {
     for (const ReadEvent& ev : batch.events) {
       EXPECT_EQ(ev.tag, log[offset].tag);
       EXPECT_DOUBLE_EQ(ev.time_s, log[offset].time_s);

@@ -9,8 +9,8 @@ if(NOT DEFINED BIN)
 endif()
 
 # Retired flags: no bench may accept them again. --obs-off duplicated
-# RFIDSIM_OBS=off.
-foreach(flag --log-dump --obs-off)
+# RFIDSIM_OBS=off; --provenance-dump wrote the records --flight-dump writes.
+foreach(flag --log-dump --obs-off --provenance-dump)
   execute_process(
     COMMAND "${BIN}" ${flag} x
     OUTPUT_QUIET

@@ -57,6 +57,22 @@ TEST(BatchCodecTest, RoundTripsEmptyBatch) {
   EXPECT_TRUE(*decoded == batch);
 }
 
+TEST(BatchCodecTest, BatchIdStaysOffTheWire) {
+  // The provenance id is plumbing: stamping one changes no frame byte, so
+  // it can never change which bits a lossy channel flips.
+  Rng rng(11);
+  const EventBatch batch = make_batch(rng, 24, 8);
+  EventBatch stamped = batch;
+  stamped.batch_id = 0x9e3779b97f4a7c15ull;
+  EXPECT_EQ(encode_event_batch_frame(stamped), encode_event_batch_frame(batch));
+  EXPECT_TRUE(stamped == batch);
+  const std::vector<std::uint8_t> payload = encode_event_batch(stamped);
+  const auto decoded = decode_event_batch(payload.data(), payload.size());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->batch_id, 0u);
+  EXPECT_TRUE(*decoded == stamped);
+}
+
 TEST(BatchCodecTest, RoundTripsHostileDoubles) {
   // Bit-pattern delta encoding must be lossless for *any* double, not just
   // friendly ones: negative zero, denormals, infinities, huge magnitudes.

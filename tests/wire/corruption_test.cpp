@@ -92,25 +92,6 @@ TEST(WireCorruptorTest, TruncationAlwaysLeavesAtLeastOneByte) {
   EXPECT_EQ(corruptor.stats().truncated, 100u);
 }
 
-TEST(WireCorruptorTest, StreamPassDuplicatesAndReorders) {
-  WireCorruptorConfig cfg;
-  cfg.duplicate_probability = 0.5;
-  WireCorruptor corruptor(cfg);
-  Rng rng(9);
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (std::size_t i = 0; i < 64; ++i) frames.push_back(test_frame(8 + i));
-  const auto out = corruptor.corrupt_stream(frames, rng);
-  EXPECT_GT(out.size(), frames.size());
-  EXPECT_EQ(out.size(), frames.size() + corruptor.stats().duplicated);
-
-  WireCorruptorConfig rcfg;
-  rcfg.reorder_probability = 0.5;
-  WireCorruptor reorderer(rcfg);
-  const auto swapped = reorderer.corrupt_stream(frames, rng);
-  EXPECT_EQ(swapped.size(), frames.size());
-  EXPECT_GT(reorderer.stats().reordered, 0u);
-}
-
 // --- Detection: every injected fault class must be *classified* by the
 // decoder, not merely break something. ---
 
