@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/radix_sort.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -98,14 +99,16 @@ std::size_t TrackingStore::find_or_create(Shard& shard, std::uint64_t epc) const
 
 void TrackingStore::ensure_sorted(const Shard& shard) const {
   if (shard.sorted) return;
-  shard.by_epc.resize(shard.epcs.size());
-  for (std::size_t i = 0; i < shard.by_epc.size(); ++i) {
-    shard.by_epc[i] = static_cast<std::uint32_t>(i);
+  // EPCs are distinct within a shard, so the EPC order is unique.
+  std::vector<RadixItem> ranks(shard.epcs.size());
+  for (std::size_t slot = 0; slot < ranks.size(); ++slot) {
+    ranks[slot] = {shard.epcs[slot], slot};
   }
-  std::sort(shard.by_epc.begin(), shard.by_epc.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return shard.epcs[a] < shard.epcs[b];
-            });
+  radix_sort(ranks);
+  shard.by_epc.resize(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    shard.by_epc[i] = static_cast<std::uint32_t>(ranks[i].index);
+  }
   shard.sorted = true;
 }
 
@@ -344,24 +347,28 @@ void TrackingStore::restore_shard(
 
 std::uint64_t TrackingStore::digest() const {
   const obs::prof::ScopedPhase phase(obs::prof::Phase::kStoreDigest);
-  // Gather (epc, timeline) across shards, walk in ascending-EPC order so
-  // the digest is independent of shard count and assignment.
-  std::vector<std::pair<std::uint64_t, const std::vector<Sighting>*>> all;
-  all.reserve(tag_count());
+  // Gather every timeline across shards and walk them in ascending-EPC
+  // order, so the digest is independent of shard count and assignment.
+  // EPCs are distinct across shards, so the order is unique.
+  std::vector<const std::vector<Sighting>*> timelines;
+  timelines.reserve(tag_count());
+  std::vector<RadixItem> by_epc;
+  by_epc.reserve(tag_count());
   for (const Shard& shard : shards_) {
     for (std::size_t slot = 0; slot < shard.epcs.size(); ++slot) {
-      all.emplace_back(shard.epcs[slot], &shard.timelines[slot]);
+      by_epc.push_back({shard.epcs[slot], timelines.size()});
+      timelines.push_back(&shard.timelines[slot]);
     }
   }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  radix_sort(by_epc);
   // The walk hops between shards' cold timelines.
+  const auto timeline_at = [&](std::size_t i) { return timelines[by_epc[i].index]; };
   std::uint64_t hash = kFnvBasis;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i + kHeaderAhead < all.size()) __builtin_prefetch(all[i + kHeaderAhead].second);
-    if (i + kDataAhead < all.size()) __builtin_prefetch(all[i + kDataAhead].second->data());
-    const auto& [epc, tl] = all[i];
-    hash = fnv1a(hash, epc);
+  for (std::size_t i = 0; i < by_epc.size(); ++i) {
+    if (i + kHeaderAhead < by_epc.size()) __builtin_prefetch(timeline_at(i + kHeaderAhead));
+    if (i + kDataAhead < by_epc.size()) __builtin_prefetch(timeline_at(i + kDataAhead)->data());
+    const std::vector<Sighting>* tl = timeline_at(i);
+    hash = fnv1a(hash, by_epc[i].key);
     hash = fnv1a(hash, tl->size());
     for (const Sighting& s : *tl) {
       hash = fnv1a(hash, std::bit_cast<std::uint64_t>(s.time_s));

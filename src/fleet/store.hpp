@@ -176,10 +176,12 @@ class TrackingStore {
   /// Arena-style shard: timelines live in one dense vector (slot order =
   /// first-sighting order) reached through an open-addressing EPC index —
   /// no per-EPC tree nodes to allocate, rebalance, or pointer-chase during
-  /// ingest. Ascending-EPC iteration (visit_shard) sorts a slot permutation
-  /// lazily; digest()/tags() gather raw slots and sort globally, exactly as
-  /// the per-EPC-node implementation did, so every externally visible order
-  /// — and therefore every digest — is unchanged.
+  /// ingest. Ascending-EPC iteration (visit_shard) ranks a slot permutation
+  /// lazily and digest() ranks every shard's slots globally, both with the
+  /// radix sort of common/radix_sort.hpp; tags() sorts the raw EPCs. EPCs
+  /// are distinct, so each order is the per-EPC-node implementation's, and
+  /// every externally visible order — and therefore every digest — is
+  /// unchanged.
   struct Shard {
     /// Open addressing, power-of-two capacity, linear probing; entries are
     /// slot + 1 (0 = empty). Keyed by the same SplitMix64 mix() that picks

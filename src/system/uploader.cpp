@@ -1,6 +1,7 @@
 #include "system/uploader.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -97,7 +98,13 @@ std::vector<wire::EventBatch> EventUploader::upload_wire(
   for (std::size_t begin = 0; begin < log.size(); begin += config_.batch_size) {
     const std::size_t end = std::min(begin + config_.batch_size, log.size());
     ++stats_.batches;
-    const double sent_s = log[end - 1].time_s;  // Flush at the last read.
+    // Flush at the last read with a finite time: a NaN or infinite one
+    // would carry through the channel clock into every later arrival. A
+    // batch with none flushes when the channel frees (validation empties
+    // it downstream).
+    std::size_t last = end;
+    while (last > begin && !std::isfinite(log[last - 1].time_s)) --last;
+    const double sent_s = last > begin ? log[last - 1].time_s : channel_free_s;
     // Ids are minted unconditionally (they are plumbing, not telemetry);
     // only the hop records gate on obs.
     const std::uint64_t batch_id =

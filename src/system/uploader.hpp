@@ -97,7 +97,8 @@ class EventUploader {
   /// backend received, in delivery order (batch order is preserved —
   /// retries delay, they do not overtake). Each batch is what decoded —
   /// nothing the receiver could not have seen; its sent_time_s is the
-  /// flush time, the batch's last event time — with two fields stamped:
+  /// flush time, the batch's last finite event time (the channel's free
+  /// time when it has none) — with two fields stamped:
   ///   arrival_time_s  the flush time, any head-of-line wait behind the
   ///                   previous batch still retrying on the serial
   ///                   channel, plus this batch's own backoff

@@ -50,9 +50,12 @@ std::optional<ObjectId> ObjectRegistry::object_of(scene::TagId tag) const {
   return ObjectId{slot.object};
 }
 
-std::vector<scene::TagId> ObjectRegistry::tags_of(ObjectId object) const {
+std::span<const scene::TagId> ObjectRegistry::tags_of(ObjectId object) const {
+  // Map nodes never move, so only a push_back to this object's own vector
+  // can invalidate the view.
   const auto it = object_tags_.find(object.value);
-  return it == object_tags_.end() ? std::vector<scene::TagId>{} : it->second;
+  if (it == object_tags_.end()) return {};
+  return it->second;
 }
 
 const std::string& ObjectRegistry::name_of(ObjectId object) const {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +39,10 @@ class ObjectRegistry {
   /// The object carrying `tag`, if any.
   std::optional<ObjectId> object_of(scene::TagId tag) const;
 
-  /// All tags bound to `object` (empty if none / unknown).
-  std::vector<scene::TagId> tags_of(ObjectId object) const;
+  /// All tags bound to `object`, in bind order (empty if none / unknown).
+  /// A view into the registry: it stays valid until the next bind_tag of
+  /// `object`; binding tags to other objects leaves it intact.
+  std::span<const scene::TagId> tags_of(ObjectId object) const;
 
   /// Display name of an object ("?" if unknown).
   const std::string& name_of(ObjectId object) const;

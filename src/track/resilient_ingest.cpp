@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/radix_sort.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 
@@ -165,12 +166,13 @@ IngestReport ResilientIngest::finish(IngestReport report, sys::EventLog valid,
     high_water = std::max(high_water, ev.time_s);
   }
 
-  // Pass 2 — restore chronological order: rank the records by (time,
-  // arrival position), a stable sort by time.
+  // Pass 2 — restore chronological order: rank the records by time,
+  // stably, so equal times (-0.0 and +0.0 among them) keep arrival order.
+  // Validation has refused NaN, the one time with no rank.
   const std::size_t n = valid.size();
-  std::vector<std::pair<double, std::size_t>> by_time(n);
-  for (std::size_t i = 0; i < n; ++i) by_time[i] = {valid[i].time_s, i};
-  if (report.reordered > 0) std::sort(by_time.begin(), by_time.end());
+  std::vector<RadixItem> by_time(n);
+  for (std::size_t i = 0; i < n; ++i) by_time[i] = {radix_key(valid[i].time_s), i};
+  if (report.reordered > 0) radix_sort(by_time);
 
   // Then collapse transport duplicates in one walk of the ranks: a read is
   // a duplicate iff it lies within the window of its (tag, reader,
@@ -179,8 +181,9 @@ IngestReport ResilientIngest::finish(IngestReport report, sys::EventLog valid,
   std::vector<double> last_accepted;  // Per stream, by dense number.
   last_accepted.reserve(n);
   report.events.reserve(n);
-  for (const auto& [t, arrival] : by_time) {
-    const sys::ReadEvent& ev = valid[arrival];
+  for (const RadixItem& rank : by_time) {
+    const sys::ReadEvent& ev = valid[rank.index];
+    const double t = ev.time_s;
     const auto [stream, added] =
         streams.find_or_add({ev.tag.value, ev.reader_index, ev.antenna_index});
     if (added) {

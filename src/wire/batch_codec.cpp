@@ -1,9 +1,8 @@
 #include "wire/batch_codec.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <utility>
+
+#include "common/radix_sort.hpp"
 
 namespace rfidsim::wire {
 
@@ -35,13 +34,13 @@ namespace {
 /// Appends `batch`'s payload to `out`, written through one pointer into
 /// room sized for the worst case and then trimmed to what was written.
 void append_event_batch(std::vector<std::uint8_t>& out, const EventBatch& batch) {
-  // EPC dictionary: distinct tag ids, ascending, delta-encoded. Sorting
-  // (tag, event) pairs yields the dictionary and every event's index into
+  // EPC dictionary: distinct tag ids, ascending, delta-encoded. Ranking
+  // the events by tag yields the dictionary and every event's index into
   // it in one walk.
   const std::size_t count = batch.events.size();
-  std::vector<std::pair<std::uint64_t, std::size_t>> by_tag(count);
+  std::vector<RadixItem> by_tag(count);
   for (std::size_t i = 0; i < count; ++i) by_tag[i] = {batch.events[i].tag.value, i};
-  std::sort(by_tag.begin(), by_tag.end());
+  radix_sort(by_tag);
   std::vector<std::uint64_t> dict;
   dict.reserve(count);
   std::vector<std::size_t> dict_index(count);

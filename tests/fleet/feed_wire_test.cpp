@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -209,6 +211,55 @@ TEST(FeedWireTest, TotalsEqualTheSumOfPassResults) {
   EXPECT_EQ(totals.corrupt_frames, sum.corrupt_frames);
   EXPECT_EQ(totals.recovered_batches, sum.recovered_batches);
   EXPECT_EQ(totals.quarantined_batches, sum.quarantined_batches);
+}
+
+TEST(FeedWireTest, NonFiniteFlushTimeKeepsLatencyHistogramsFinite) {
+  // A batch flushes at its last read with a finite time: a NaN or +inf
+  // read at the end of a batch must not become the batch's send time, or
+  // its arrival time through the serial channel clock, and from there a
+  // nan or inf in the facility's latency histograms for good.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    sys::EventLog log;
+    for (std::size_t i = 0; i < 8; ++i) {
+      log.push_back(event(0.5 + 0.25 * static_cast<double>(i), 1 + i % 3));
+    }
+    log[3].time_s = bad;
+
+    sys::UploaderConfig uploader_config;
+    uploader_config.batch_size = 4;
+    sys::EventUploader uploader(uploader_config);
+    Rng rng(3);
+    const std::vector<FacilityBatch> batches = uploader.upload_wire(log, 0, rng, nullptr);
+    ASSERT_EQ(batches.size(), 2u);
+    for (const FacilityBatch& batch : batches) {
+      EXPECT_TRUE(std::isfinite(batch.sent_time_s));
+      EXPECT_TRUE(std::isfinite(batch.arrival_time_s));
+    }
+    EXPECT_EQ(batches[0].sent_time_s, log[2].time_s);
+
+    FeedConfig config = feed_config(1, 3);
+    config.facility = std::isnan(bad) ? 61 : 62;  // Histogram children of its own.
+    config.uploader.batch_size = 4;
+    FacilityFeed feed(config);
+    TrackingStore store;
+    const bool saved_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const FeedPassResult result = feed.ingest_pass(store, log, 0.0, 10.0, rng);
+    obs::set_enabled(saved_enabled);
+    EXPECT_EQ(result.quarantined, 1u);
+    EXPECT_EQ(store.stats().events, 7u);
+    const std::string label = std::to_string(config.facility);
+    EXPECT_TRUE(std::isfinite(
+        obs::registry()
+            .histogram("fleet.batch.visibility_latency_seconds", {{"facility", label}})
+            .sum()));
+    EXPECT_TRUE(std::isfinite(
+        obs::registry()
+            .histogram("fleet.feed.visibility_lag_seconds", {{"facility", label}})
+            .sum()));
+  }
 }
 
 TEST(FeedWireTest, StaleBatchesAreAlertedButStillStored) {

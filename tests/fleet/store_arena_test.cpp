@@ -127,14 +127,19 @@ void expect_matches_reference(const TrackingStore& store, const ReferenceStore& 
 /// Adversarial batch: EPCs drawn from a small range (hash collisions and
 /// shared timelines guaranteed), timestamps quantized to a coarse grid
 /// (equal-time tie-breaks exercised), a slice of events duplicated exactly.
+/// Half the EPCs move above bit 48, where they differ only in their top
+/// bytes, so the digest's and visit_shard's EPC ranks run through the high
+/// radix digits as well as the low ones.
 FacilityBatch fuzz_batch(Rng& rng, double base_time) {
   std::vector<sys::ReadEvent> events;
   const std::int64_t count = rng.uniform_int(0, 120);  // includes empty batches
   for (std::int64_t e = 0; e < count; ++e) {
     const double t = base_time + 0.25 * static_cast<double>(rng.uniform_int(0, 40));
-    events.push_back(event(t, static_cast<std::uint64_t>(rng.uniform_int(1, 60)),
-                           static_cast<std::size_t>(rng.uniform_int(0, 2)),
-                           static_cast<std::size_t>(rng.uniform_int(0, 3))));
+    std::uint64_t epc = static_cast<std::uint64_t>(rng.uniform_int(1, 60));
+    if (rng.bernoulli(0.5)) epc = (epc << 48) | 0x2a;
+    const auto reader = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    const auto antenna = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    events.push_back(event(t, epc, reader, antenna));
   }
   // Re-deliver a prefix of this batch inside itself: exact duplicates that
   // must be dropped with the duplicates counter ticking.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -100,6 +101,26 @@ TEST(RegistryTest, ObjectsPreserveRegistrationOrder) {
   ASSERT_EQ(reg.objects().size(), 2u);
   EXPECT_EQ(reg.objects()[0], a);
   EXPECT_EQ(reg.objects()[1], b);
+}
+
+TEST(RegistryTest, TagsOfViewSurvivesBindsToOtherObjects) {
+  ObjectRegistry reg;
+  const ObjectId held = reg.add_object("held");
+  reg.bind_tag(TagId{7}, held);
+  reg.bind_tag(TagId{3}, held);
+  const std::span<const TagId> tags = reg.tags_of(held);
+  const TagId* data = tags.data();
+  // Many more objects and tags: the object map and the tag index both
+  // grow, and neither may move the held object's tags.
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    reg.bind_tag(TagId{100 + i}, reg.add_object("other"));
+  }
+  ASSERT_EQ(tags.size(), 2u);
+  EXPECT_EQ(reg.tags_of(held).data(), data);
+  EXPECT_EQ(tags[0], TagId{7});  // Bind order.
+  EXPECT_EQ(tags[1], TagId{3});
+  const std::span<const TagId> unknown = reg.tags_of(ObjectId{123456});
+  EXPECT_TRUE(unknown.empty());
 }
 
 }  // namespace

@@ -509,6 +509,59 @@ TEST(ResilientIngestTest, MatchesMapAndSetReferenceModels) {
   expect_matches_reference_models({}, IngestConfig{}, 10);
 }
 
+TEST(ResilientIngestTest, TimeTiesAndSignedZerosKeepArrivalOrder) {
+  // Reads with equal times (and -0.0 beside +0.0, which compare equal)
+  // keep their arrival order in the time ranks, so the first arrival of a
+  // stream at a tied time is the one accepted and the later ones are its
+  // duplicates: the report a sort of (time, arrival position) pairs gives.
+  IngestConfig cfg;
+  cfg.reader_count = 3;  // Reader 2 never speaks.
+  ResilientIngest ingest(cfg);
+  const sys::EventLog log{
+      event(0.0, 5, 0, 0),      // 0: accepted.
+      event(-0.0, 7, 1, 0),     // 1: accepted, after 0.
+      event(-0.0, 5, 0, 0),     // 2: duplicate of 0 (not the kept copy).
+      event(0.5, 9, 0, 1),      // 3: accepted.
+      event(0.5, 8, 1, 0),      // 4: tie with 3, accepted after it.
+      event(0.501, 9, 0, 1),    // 5: duplicate of 3.
+      event(0.25, 7, 1, 0),     // 6: out of order, accepted.
+      event(0.5, 9, 0, 1),      // 7: out of order, tie and duplicate of 3.
+      event(2.0, 5, 0, 0),      // 8: accepted.
+      event(1.75, 6, 1, 1),     // 9: out of order, accepted.
+      event(0.5015, 9, 0, 1),   // 10: out of order, duplicate of 3.
+      event(2.0015, 5, 0, 0),   // 11: duplicate of 8.
+      event(3.5, 4, 1, 0),      // 12: accepted.
+  };
+  const IngestReport report = ingest.ingest(log, 0.0, 5.0);
+  EXPECT_EQ(report.quarantined, 0u);
+  EXPECT_EQ(report.reordered, 4u);
+  EXPECT_EQ(report.duplicates, 5u);
+  ASSERT_EQ(report.accepted, 8u);
+  const std::size_t kept[] = {0, 1, 6, 3, 4, 9, 8, 12};
+  ASSERT_EQ(report.events.size(), std::size(kept));
+  for (std::size_t i = 0; i < std::size(kept); ++i) {
+    const sys::ReadEvent& got = report.events[i];
+    const sys::ReadEvent& want = log[kept[i]];
+    EXPECT_EQ(got.tag, want.tag) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.time_s),
+              std::bit_cast<std::uint64_t>(want.time_s))
+        << i;
+    EXPECT_EQ(got.reader_index, want.reader_index) << i;
+    EXPECT_EQ(got.antenna_index, want.antenna_index) << i;
+  }
+  // Per reader: interior gaps in time order, then the tail gap.
+  const std::vector<std::tuple<std::size_t, double, double, bool>> gaps{
+      {0, 0.5, 2.0, false}, {0, 2.0, 5.0, true},  {1, 0.5, 1.75, false},
+      {1, 1.75, 3.5, false}, {1, 3.5, 5.0, true}, {2, 0.0, 5.0, true}};
+  ASSERT_EQ(report.gaps.size(), gaps.size());
+  for (std::size_t i = 0; i < gaps.size(); ++i) {
+    const SilenceGap& g = report.gaps[i];
+    EXPECT_EQ(std::make_tuple(g.reader, g.begin_s, g.end_s, g.to_window_end), gaps[i])
+        << i;
+  }
+  EXPECT_EQ(report.degraded_readers, (std::vector<std::size_t>{0, 1, 2}));
+}
+
 TEST(ResilientIngestTest, RejectsBadConfig) {
   IngestConfig inverted;
   inverted.min_rssi_dbm = 0.0;

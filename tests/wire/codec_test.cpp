@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -181,6 +182,45 @@ TEST(BatchCodecTest, FrameRoundTripThroughDecoder) {
   const auto decoded = decode_event_batch(res.frame);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(*decoded == batch);
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST(BatchCodecTest, FrameBytesArePinned) {
+  // Unsorted tags, one tag read twice, and the extreme EPCs 0 and 2^64-1:
+  // the dictionary order and every event's index into it are on the wire,
+  // so a change in how the encoder ranks tags shows here byte for byte.
+  EventBatch batch;
+  batch.facility = 3;
+  batch.sent_time_s = 12.5;
+  batch.arrival_time_s = 12.75;
+  const auto read = [](std::uint64_t tag, double t, std::size_t reader,
+                       std::size_t antenna, double rssi) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{tag};
+    ev.time_s = t;
+    ev.reader_index = reader;
+    ev.antenna_index = antenna;
+    ev.rssi = DbmPower{rssi};
+    return ev;
+  };
+  batch.events = {read(900, 12.0, 1, 0, -55.5), read(~0ull, 12.125, 0, 2, -61.25),
+                  read(0, 12.25, 2, 1, -58.0), read(900, 12.375, 1, 1, -55.0),
+                  read(17, 12.5, 3, 0, -70.0)};
+  EXPECT_EQ(hex(encode_event_batch_frame(batch)),
+            "017c00000022010300000000000029400000000000802940040011f3"
+            "06fbf8ffffffffffffff0105020100ffffffffffff7fffffffffffff"
+            "9fb47f03000280808080808020808080808080f00200020180808080"
+            "808020ffffffffffffcf0102010180808080808020ffffffffffffbf"
+            "01010300808080808080208080808080808006ef88");
 }
 
 TEST(BatchCodecTest, RejectsTrailingBytes) {
